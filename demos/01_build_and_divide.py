@@ -2,8 +2,8 @@
 
 A 8x8 sensor grid is summarized at three granularities (2x2 nodes per
 level-1 cell, 2x2 level-1 cells per level-2 cell, one level-3 cell for the
-whole grid). A step-shaped query region is then split greedily into the
-minimum number of cells that exactly cover it.
+whole grid). A step-shaped query region is then split into the minimum
+number of cells that exactly cover it: the maximal fully-inside cells.
 """
 
 from gridcubes import (GridDims, GridValues, HierarchyConfig, build_hierarchy,
@@ -27,7 +27,7 @@ corners = classify_corners(region)
 print(f"\nquery region: {len(region)} nodes, {len(corners)} corners")
 
 cover = greedy_divide(cube, region)
-print(f"greedy division into {cover.size} cells:")
+print(f"minimum division into {cover.size} cells:")
 for cell in cover.cells:
     print(f"  {cell.label()} covering {cell.bounds} sum {cube.value(cell)}")
 total = sum(cube.value(c) for c in cover.cells)

@@ -1,6 +1,6 @@
 """Plan a spatial aggregate query with the fewest possible data points.
 
-The greedy division of the step region needs five cells, but allowing
+The minimum division of the step region needs five cells, but allowing
 subtraction does better: retrieving the enclosing level-1 cell and removing
 the one stray node answers the query with four points. The planner finds
 this automatically by solving a min cut over the colored containment tree.

@@ -13,12 +13,11 @@ from .errors import (BoundsError, ConfigError, GridCubesError, InfeasibleError,
                      RecoveryError, ScenarioError, ValidationError)
 from .flow import (CombinedResult, FlowGraph, QueryPlan, build_flow_graph,
                    combined_plan, mark_failed, min_cut_plan)
-from .grid import (CornerClassification, CornerKind, GridCoord, GridDims,
-                   GridValues, Rect, RectilinearRegion, classify_corners,
-                   corner_counts, region_contains, region_from_rectangles)
+from .grid import (CornerClassification, CornerKind, GridDims, GridValues, Rect,
+                   RectilinearRegion, classify_corners, corner_counts,
+                   region_from_rectangles)
 from .hierarchy import (Cell, Color, CubeHierarchy, HierarchyConfig,
-                        HierarchyTree, build_hierarchy, cell_of, cells_at,
-                        color_tree)
+                        HierarchyTree, build_hierarchy, cell_of, color_tree)
 from .prefix import (PrefixSumCube, PSDataPoint, RecoloredSets, build_ps_cube,
                      corner_weights, ps_query_plan, recolor_sets,
                      rectangle_sum, rectilinear_sum)
@@ -28,4 +27,23 @@ from .recovery import (FailureSet, Reconstruction, RecoveryKind, RecoveryResult,
                        failed_datapoints, plan_with_failures, recover_junction,
                        recover_node, recover_region)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CellCover", "greedy_divide",
+    "BoundsError", "ConfigError", "GridCubesError", "InfeasibleError",
+    "RecoveryError", "ScenarioError", "ValidationError",
+    "CombinedResult", "FlowGraph", "QueryPlan", "build_flow_graph",
+    "combined_plan", "mark_failed", "min_cut_plan",
+    "CornerClassification", "CornerKind", "GridDims", "GridValues", "Rect",
+    "RectilinearRegion", "classify_corners", "corner_counts",
+    "region_from_rectangles",
+    "Cell", "Color", "CubeHierarchy", "HierarchyConfig", "HierarchyTree",
+    "build_hierarchy", "cell_of", "color_tree",
+    "PrefixSumCube", "PSDataPoint", "RecoloredSets", "build_ps_cube",
+    "corner_weights", "ps_query_plan", "recolor_sets", "rectangle_sum",
+    "rectilinear_sum",
+    "NodeState", "Packet", "SimStats", "junction_level", "node_slot",
+    "node_step", "run_construction",
+    "FailureSet", "Reconstruction", "RecoveryKind", "RecoveryResult",
+    "failed_datapoints", "plan_with_failures", "recover_junction",
+    "recover_node", "recover_region",
+]

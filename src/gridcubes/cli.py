@@ -17,10 +17,10 @@ from .division import greedy_divide
 from .errors import (BoundsError, ConfigError, GridCubesError, InfeasibleError,
                      ScenarioError, ValidationError)
 from .flow import QueryPlan, build_flow_graph, combined_plan, mark_failed, min_cut_plan
-from .hierarchy import Cell, color_tree
+from .hierarchy import Cell, CubeHierarchy, color_tree
 from .prefix import build_ps_cube, ps_query_plan
 from .protocol import run_construction
-from .recovery import plan_with_failures
+from .recovery import FailureSet, failed_datapoints, plan_with_failures
 from .render import render_svg
 from .scenario import Scenario, load_scenario
 
@@ -53,15 +53,14 @@ def _plan_lines(plan: QueryPlan) -> str:
     return f"{body} = {plan.value}"
 
 
-def _failed_cells(scenario: Scenario, specs) -> set[Cell]:
-    """Failure specs interpreted as unreadable data points for the planner."""
-    from .hierarchy import cell_of
+def _failed_cells(scenario: Scenario, h: CubeHierarchy, specs) -> set[Cell]:
+    """Failure specs interpreted as unreadable data points for the planner.
 
-    cells = set()
-    for spec in specs:
-        kind, obj = scenario.resolve_spec(spec)
-        cells.add(cell_of(scenario.config, 0, obj) if kind == "node" else obj)
-    return cells
+    A dead node loses its reading and every summary junctioned at it; a
+    `cell:` spec loses that one summary.
+    """
+    failures = scenario.failure_set(specs)
+    return set(failures.cells) | failed_datapoints(h, FailureSet.of(nodes=failures.nodes))
 
 
 def cmd_divide(scenario: Scenario, args, report: dict) -> int:
@@ -82,7 +81,7 @@ def cmd_divide(scenario: Scenario, args, report: dict) -> int:
 
 def cmd_plan(scenario: Scenario, args, report: dict) -> int:
     h = scenario.hierarchy()
-    failed = _failed_cells(scenario, args.fail)
+    failed = _failed_cells(scenario, h, args.fail)
     names = scenario.expand_query_names(args.region)
     trees = [color_tree(h, scenario.region(name)) for name in names]
     out = {"queries": [], "infeasible": False}

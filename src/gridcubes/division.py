@@ -1,20 +1,21 @@
-"""Greedy decomposition of a query region into hierarchy cells.
+"""Decomposition of a query region into the fewest hierarchy cells.
 
-Repeatedly picks a convex corner of the residual region (scanning lattice
-points top-to-bottom, left-to-right) and extracts the highest-level hierarchy
-cell that touches the corner and fits entirely inside the residual. Single
-grid locations count as level-0 cells, so any region is coverable. The
-resulting cover has the minimum possible number of cells; the cell multiset
-may depend on the corner order but the size does not.
+Hierarchy cells, with single grid locations as level-0 cells, form a laminar
+family: any two are either nested or disjoint. In an exact cover every cell
+lies inside the region, so every cell lies inside a maximal fully-inside
+(grey) cell; those maximal cells are pairwise disjoint and tile the region.
+Each maximal grey cell must therefore hold at least one cover cell, and
+taking exactly the maximal grey cells gives the minimum cover. They are the
+grey nodes of the pruned colored tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BoundsError, ValidationError
-from .grid import Coord, RectilinearRegion
-from .hierarchy import Cell, CubeHierarchy
+from .errors import ValidationError
+from .grid import RectilinearRegion
+from .hierarchy import Cell, Color, CubeHierarchy, color_tree
 
 
 @dataclass(frozen=True)
@@ -27,42 +28,13 @@ class CellCover:
         return len(self.cells)
 
 
-def _first_convex_corner(region: RectilinearRegion) -> tuple[Coord, Coord]:
-    """Return (lattice corner, the single inside cell at that corner)."""
-    candidates: set[Coord] = set()
-    for x, y in region.cells:
-        candidates.update(((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)))
-    for p in sorted(candidates, key=lambda c: (c[1], c[0])):
-        lx, ly = p
-        inside = [c for c in ((lx - 1, ly - 1), (lx, ly - 1), (lx - 1, ly), (lx, ly))
-                  if c in region.cells]
-        if len(inside) == 1:
-            return p, inside[0]
-    raise ValidationError("non-empty region without a convex corner")
-
-
-def _max_cell_at(h: CubeHierarchy, residual: set[Coord], corner: Coord, seed: Coord) -> Cell:
-    """Highest-level cell with `corner` on its boundary lattice, inside residual."""
-    for level in range(h.height, 0, -1):
-        cell = h.cell_at(level, seed)
-        b = cell.bounds
-        if corner[0] not in (b.x0, b.x1 + 1) or corner[1] not in (b.y0, b.y1 + 1):
-            continue
-        if all(p in residual for p in b.coords()):
-            return cell
-    return h.cell_at(0, seed)
-
-
 def greedy_divide(h: CubeHierarchy, region: RectilinearRegion) -> CellCover:
+    """Minimum cover of `region`, cells ordered by top-left (y, x)."""
     if not region:
         raise ValidationError("cannot divide an empty region")
-    if not region.within(h.dims):
-        raise BoundsError("region extends outside the grid")
-    residual = set(region.cells)
-    picked: list[Cell] = []
-    while residual:
-        corner, seed = _first_convex_corner(RectilinearRegion(frozenset(residual)))
-        cell = _max_cell_at(h, residual, corner, seed)
-        picked.append(cell)
-        residual.difference_update(cell.bounds.coords())
-    return CellCover(tuple(picked), region)
+    tree = color_tree(h, region)
+    if tree.root.color is Color.GREY:
+        cells = h.top_cells
+    else:
+        cells = tree.cells_by_color(Color.GREY)
+    return CellCover(tuple(sorted(cells, key=lambda c: (c.bounds.y0, c.bounds.x0))), region)

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import BoundsError, ValidationError
 
 Coord = tuple[int, int]
-GridCoord = Coord
 
 
 @dataclass(frozen=True)
@@ -254,7 +253,3 @@ def corner_counts(region: RectilinearRegion) -> tuple[int, int]:
     corners = classify_corners(region)
     convex = sum(1 for c in corners if c.kind is CornerKind.CONVEX)
     return convex, len(corners) - convex
-
-
-def region_contains(region: RectilinearRegion, p: Coord) -> bool:
-    return region.contains(p)

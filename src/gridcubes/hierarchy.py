@@ -165,10 +165,6 @@ def build_hierarchy(values: GridValues, config: HierarchyConfig) -> CubeHierarch
     return CubeHierarchy(values, config, levels, summaries)
 
 
-def cells_at(h: CubeHierarchy, p: Coord) -> list[Cell]:
-    return h.cells_at(p)
-
-
 class Color(Enum):
     GREY = "grey"      # cell fully inside the query region
     WHITE = "white"    # cell disjoint from the query region

@@ -384,10 +384,9 @@ def _components(area: frozenset[Coord]) -> list[frozenset[Coord]]:
     remaining = set(area)
     out = []
     while remaining:
-        seed = min(remaining, key=lambda p: (p[1], p[0]))
+        seed = remaining.pop()
         comp = {seed}
         stack = [seed]
-        remaining.discard(seed)
         while stack:
             x, y = stack.pop()
             for n in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
@@ -435,9 +434,10 @@ def recover_region(h: CubeHierarchy, failures: FailureSet,
     recovered: set[Coord] = set()
     any_estimate = False
     pending = set(q_failed)
+    components = _components(area)
     while pending:
         seed = min(pending, key=lambda p: (p[1], p[0]))
-        comp = next(c for c in _components(area) if seed in c)
+        comp = next(c for c in components if seed in c)
         requested = frozenset(q_failed & comp)
         grown = requested
         portion = None

@@ -103,7 +103,8 @@ def min_cover_oracle(h: CubeHierarchy, region: RectilinearRegion, greedy_bound: 
     """Branch-and-bound exact cover over all hierarchy cells (incl. level 0).
 
     Branches on the first uncovered grid location; candidate cells are the
-    nested chain of cells containing it that fit inside the residual.
+    nested chain of cells containing it that fit inside the residual. Cells
+    with equal bounds (level 1 and level 0 when F1 = 1) are one candidate.
     """
     best = [greedy_bound]
 
@@ -112,7 +113,7 @@ def min_cover_oracle(h: CubeHierarchy, region: RectilinearRegion, greedy_bound: 
         for level in range(h.height, -1, -1):
             cell = cell_of(h.config, level, p)
             cover = frozenset(cell.bounds.coords())
-            if cover <= residual:
+            if cover <= residual and cover not in out:
                 out.append(cover)
         return out
 

@@ -46,11 +46,30 @@ def test_plan_infeasible_lists_blocking(capsys):
     assert "L2(4,0)" in out and "L2(4,4)" in out
 
 
+def test_plan_dead_node_avoids_its_summaries(capsys):
+    # (3,3) is the junction of L1(2,2) and L2(0,0): a dead node loses both
+    code, out, _ = run(capsys, "plan", "--scenario", THREE_LEVEL,
+                       "--region", "G", "--fail", "node:3,3")
+    assert code == 0
+    assert "L2(0,0)" not in out and "L1(2,2)" not in out
+    assert "query G: + L3(0,0) + L1(2,4) - L2(4,0) - L2(0,4) - L0(3,5) = 175" in out
+
+
 def test_divide(capsys):
     code, out, _ = run(capsys, "divide", "--scenario", THREE_LEVEL, "--region", "G")
     assert code == 0
     assert "size 5" in out
     assert "2:(0,0)-(3,3)" in out
+    # cells in (y0, x0) order of their top-left corners
+    assert out.splitlines() == [
+        "region G:",
+        "  2:(0,0)-(3,3)",
+        "  0:(2,4)-(2,4)",
+        "  0:(3,4)-(3,4)",
+        "  2:(4,4)-(7,7)",
+        "  0:(2,5)-(2,5)",
+        "  size 5",
+    ]
 
 
 def test_divide_step_region(capsys):

@@ -1,7 +1,7 @@
 import pytest
 
-from gridcubes.errors import ValidationError
-from gridcubes.grid import GridDims, GridValues, region_from_rectangles
+from gridcubes.errors import BoundsError, ValidationError
+from gridcubes.grid import GridDims, GridValues, RectilinearRegion, region_from_rectangles
 from gridcubes.hierarchy import HierarchyConfig, build_hierarchy
 from gridcubes.division import greedy_divide
 
@@ -47,9 +47,22 @@ def test_cover_is_exact_partition(rng):
 
 def test_empty_region_rejected():
     h = make_cube(4, 4, (2,))
-    from gridcubes.grid import RectilinearRegion
     with pytest.raises(ValidationError):
         greedy_divide(h, RectilinearRegion.empty())
+
+
+def test_out_of_grid_region_rejected():
+    h = make_cube(8, 8, (2, 2))
+    region = RectilinearRegion.from_cells([(7, 7), (8, 7)])
+    with pytest.raises(BoundsError):
+        greedy_divide(h, region)
+
+
+@pytest.mark.parametrize("w, hgt, fanouts", [(8, 8, (2, 2)), (7, 5, (1, 2, 2))])
+def test_whole_grid_is_top_cells(w, hgt, fanouts):
+    h = make_cube(w, hgt, fanouts)
+    region = region_from_rectangles([((0, 0), (w - 1, hgt - 1))], h.dims)
+    assert greedy_divide(h, region).cells == h.top_cells
 
 
 def test_deterministic():
@@ -60,10 +73,16 @@ def test_deterministic():
     assert a.cells == b.cells
 
 
-@pytest.mark.parametrize("fanouts", [(2, 2), (3, 2)])
-def test_cover_size_matches_exact_cover_oracle(rng, fanouts):
-    h = make_cube(12, 12, fanouts, seed=9)
+@pytest.mark.parametrize("fanouts, dims", [
+    pytest.param((2, 2), (12, 12), id="fanouts0"),
+    pytest.param((3, 2), (12, 12), id="fanouts1"),
+    # 11x13 divides by no level side, so edge cells are clipped; F1 = 1
+    pytest.param((1, 3, 2), (11, 13), id="clipped"),
+])
+def test_cover_size_matches_exact_cover_oracle(rng, fanouts, dims):
+    w, hgt = dims
+    h = make_cube(w, hgt, fanouts, seed=9)
     for _ in range(120):
-        region = random_region(rng, 12, 12)
+        region = random_region(rng, w, hgt)
         cover = greedy_divide(h, region)
         assert cover.size == min_cover_oracle(h, region, cover.size)

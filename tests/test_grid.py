@@ -4,7 +4,7 @@ import pytest
 from gridcubes.errors import BoundsError, ValidationError
 from gridcubes.grid import (CornerKind, GridDims, GridValues, Rect,
                             RectilinearRegion, classify_corners, corner_counts,
-                            region_contains, region_from_rectangles)
+                            region_from_rectangles)
 
 from conftest import (component_count, has_hole, has_pinch, random_region,
                       scan_corners)
@@ -56,11 +56,11 @@ def test_empty_region_classifies_empty():
 
 def test_containment():
     region = region_from_rectangles(STEP_RECTS, DIMS)
-    assert region_contains(region, (2, 2))
-    assert not region_contains(region, (1, 4))  # inside the step notch
+    assert region.contains((2, 2))
+    assert not region.contains((1, 4))  # inside the step notch
     full = region_from_rectangles([((0, 0), (9, 7))], DIMS)
-    assert all(region_contains(full, p) for p in DIMS.coords())
-    assert not region_contains(RectilinearRegion.empty(), (0, 0))
+    assert all(full.contains(p) for p in DIMS.coords())
+    assert not RectilinearRegion.empty().contains((0, 0))
 
 
 def test_classification_matches_scan_oracle(rng):

@@ -2,8 +2,7 @@ import pytest
 
 from gridcubes.errors import ConfigError
 from gridcubes.grid import GridDims, GridValues, RectilinearRegion, region_from_rectangles
-from gridcubes.hierarchy import (Color, HierarchyConfig, build_hierarchy,
-                                 cells_at, color_tree)
+from gridcubes.hierarchy import Color, HierarchyConfig, build_hierarchy, color_tree
 
 from conftest import naive_region_sum, random_region
 
@@ -92,10 +91,10 @@ def test_delta_propagation_equals_rebuild():
 def test_cells_at_junctions():
     vals = ones(6, 6)
     h = build_hierarchy(vals, HierarchyConfig(GridDims(6, 6), (3, 2)))
-    at_corner = cells_at(h, (5, 5))
+    at_corner = h.cells_at((5, 5))
     assert [c.level for c in at_corner] == [1, 2]
-    assert cells_at(h, (2, 2)) == [h.cell_at(1, (0, 0))]
-    assert cells_at(h, (1, 1)) == []
+    assert h.cells_at((2, 2)) == [h.cell_at(1, (0, 0))]
+    assert h.cells_at((1, 1)) == []
 
 
 def test_dump_format():
