@@ -43,7 +43,10 @@ def _value_json(v):
 
 
 def _term_str(point, sign) -> str:
-    return f"{'+' if sign > 0 else '-'} {point.label()}"
+    """Signed term such as '+ L2(0,0)'; a coefficient other than 1 is shown,
+    as in '+2 PS1@(4,4)'."""
+    coefficient = abs(sign) if abs(sign) != 1 else ""
+    return f"{'+' if sign > 0 else '-'}{coefficient} {point.label()}"
 
 
 def _plan_lines(plan: QueryPlan) -> str:
@@ -125,7 +128,7 @@ def cmd_ps_plan(scenario: Scenario, args, report: dict) -> int:
         terms = []
         for point, sign in plan.terms:
             c = point.covered
-            print(f"  {'+' if sign > 0 else '-'} {point.label()} "
+            print(f"  {_term_str(point, sign)} "
                   f"covers ({c.x0},{c.y0})-({c.x1},{c.y1}) entry {ps.entry(point)}")
             terms.append({"level": point.cell.level,
                           "x": point.location[0], "y": point.location[1],

@@ -13,25 +13,31 @@ the cell's top or left boundary hit the implicit zero row/column and are
 elided). Regions spanning several cells split along cell boundaries and each
 fragment is handled inside its own cell, since entries never cross cells.
 
-Beyond the corner expansion, a dynamic program over grey and re-colored
-points searches for the cheapest signed point set answering a query: a
-straddling point can be "re-colored" by subtracting white points whose union
-exactly cancels its out-of-region part, at a cost of one plus the number of
-white points involved.
+The query planner splits a region into pieces, each lying in one cell and
+answered by its corner expansion in that cell's block grid: any set of
+inside grid locations at level 1, a union of child blocks wholly inside the
+region at level k >= 2. A piece costs its nonzero corner weights off the
+implicit zero row and column (a weight of +-2 is still one entry). Corner
+weights add, so one piece per cell is enough, and the cheapest plan is one
+bottom-up pass over the colored tree: a grey top cell costs its
+bottom-right entry, a partial level-1 cell the corner expansion of its
+inside locations, and a partial level-k cell the plans of its partial
+children plus the cheapest split of its grey children into those answered
+by its own piece and those answered by their own bottom-right entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
-from .errors import BoundsError, InfeasibleError, ValidationError
+from .errors import BoundsError, ValidationError
 from .flow import QueryPlan
 from .grid import Coord, GridValues, Rect, RectilinearRegion
-from .hierarchy import Cell, CubeHierarchy, HierarchyConfig, build_hierarchy
+from .hierarchy import (Cell, Color, CubeHierarchy, HierarchyConfig, TreeNode,
+                        build_hierarchy, color_tree)
 
 
 @dataclass(frozen=True)
@@ -116,20 +122,22 @@ def rectangle_sum(ps: PrefixSumCube, cell: Cell, rect: Rect):
 
     Returns (value, [(point, sign), ...]) ordered bottom-right, upper-left,
     upper-right, lower-left. For cells above level 1 the rectangle must align
-    to child blocks. Entries that would fall on the implicit zero row or
-    column are omitted.
+    to child blocks; a clipped block at the cell's right or bottom edge ends
+    at that edge. Entries that would fall on the implicit zero row or column
+    are omitted.
     """
     if not cell.bounds.contains_rect(rect):
         raise BoundsError(f"rectangle {rect} outside cell {cell}")
     side, _, _ = ps._child_grid(cell)
     b = cell.bounds
     if ((rect.x0 - b.x0) % side or (rect.y0 - b.y0) % side
-            or (rect.x1 - b.x0 + 1) % side or (rect.y1 - b.y0 + 1) % side):
+            or (rect.x1 != b.x1 and (rect.x1 - b.x0 + 1) % side)
+            or (rect.y1 != b.y1 and (rect.y1 - b.y0 + 1) % side)):
         raise ValidationError(f"rectangle {rect} not aligned to level-{cell.level - 1} blocks")
     c0 = (rect.x0 - b.x0) // side
     r0 = (rect.y0 - b.y0) // side
-    c1 = (rect.x1 - b.x0 + 1) // side - 1
-    r1 = (rect.y1 - b.y0 + 1) // side - 1
+    c1 = (rect.x1 - b.x0) // side
+    r1 = (rect.y1 - b.y0) // side
     corners = [((c1, r1), +1), ((c0 - 1, r0 - 1), +1), ((c1, r0 - 1), -1), ((c0 - 1, r1), -1)]
     total = 0
     used = []
@@ -252,10 +260,10 @@ def rectilinear_sum(ps: PrefixSumCube, region: RectilinearRegion):
 
 @dataclass(frozen=True)
 class PlanCandidate:
-    """One usable retrieval unit for the query DP.
+    """Signed entries whose sum is exactly the total over `effective`.
 
-    Either a grey point (cost 1) or a re-colored straddling point bundled
-    with the white points that cancel its out-of-region part.
+    RecoloredSets uses it for a re-colored straddling point bundled with the
+    white points that cancel its out-of-region part.
     """
 
     terms: tuple[tuple[PSDataPoint, int], ...]
@@ -265,44 +273,6 @@ class PlanCandidate:
 
 def _point_cells(point: PSDataPoint) -> frozenset[Coord]:
     return frozenset(point.covered.coords())
-
-
-def _rect_candidates(ps: PrefixSumCube, region: RectilinearRegion):
-    """In-cell rectangles fully inside the region, via their corner entries.
-
-    The grey/re-colored sets alone cannot cover every region (a straddling
-    point is unusable when its out-of-region part has no all-white
-    expansion), so the corner method's rectangle primitive is admitted as a
-    candidate too; an anchored rectangle degenerates to a single grey point.
-    """
-    out = []
-    for level_cells in ps.hierarchy.levels:
-        for cell in level_cells:
-            side, cols, rows = ps._child_grid(cell)
-            b = cell.bounds
-            blocks = []
-            for cj in range(rows):
-                for ci in range(cols):
-                    p = ps.point(cell, (ci, cj))
-                    blocks.append(((ci, cj), frozenset(
-                        (x, y) for x in range(b.x0 + ci * side, p.location[0] + 1)
-                        for y in range(b.y0 + cj * side, p.location[1] + 1))))
-            inside = {idx for idx, area in blocks if area <= region.cells}
-            area_of = dict(blocks)
-            for (c0, r0) in inside:
-                for (c1, r1) in inside:
-                    if c1 < c0 or r1 < r0:
-                        continue
-                    span = {(ci, cj) for ci in range(c0, c1 + 1) for cj in range(r0, r1 + 1)}
-                    if not span <= inside:
-                        continue
-                    rect = Rect(b.x0 + c0 * side, b.y0 + r0 * side,
-                                ps.point(cell, (c1, r1)).location[0],
-                                ps.point(cell, (c1, r1)).location[1])
-                    value_terms = rectangle_sum(ps, cell, rect)[1]
-                    effective = frozenset().union(*(area_of[idx] for idx in span))
-                    out.append(PlanCandidate(tuple(value_terms), len(value_terms), effective))
-    return out
 
 
 @dataclass(frozen=True)
@@ -348,78 +318,94 @@ def recolor_sets(ps: PrefixSumCube, region: RectilinearRegion) -> RecoloredSets:
     return RecoloredSets(tuple(grey), tuple(white), tuple(straddling), tuple(recolored))
 
 
-def recolor_candidates(ps: PrefixSumCube, region: RectilinearRegion):
-    """Build the usable retrieval units for a query region.
+def _submasks(mask: int) -> Iterator[int]:
+    """Every submask of mask, in increasing order."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
 
-    Grey points cost 1, re-colored straddling points cost one plus their
-    white companions, and rectangle expansions complete the space. Candidates
-    with the same effective area keep only the cheapest variant. Returns
-    (candidates, white_points).
+
+def _row_weights(prev: int, cur: int, cols: int) -> int:
+    """Nonzero corner weights on the lattice row between two block rows.
+
+    With d = prev - cur per column, the weight at lattice column lx is
+    d[lx - 1] - d[lx]; columns 1..cols count (column 0 is the implicit zero
+    column) and d is 0 past the last block.
     """
-    sets = recolor_sets(ps, region)
-    white = set(sets.white)
-    candidates: list[PlanCandidate] = [
-        PlanCandidate(((p, +1),), 1, _point_cells(p)) for p in sets.grey]
-    candidates.extend(sets.recolored)
-    candidates.extend(_rect_candidates(ps, region))
-    # The corner expansion of each single-scope piece is itself a feasible
-    # retrieval unit, so the corner method is always within the search space.
-    for _, piece_cells, points in _fragment_pieces(ps, region.cells):
-        if points and all(abs(w) == 1 for _, w in points):
-            candidates.append(PlanCandidate(tuple(points), len(points),
-                                            frozenset(piece_cells)))
-    best: dict[frozenset, PlanCandidate] = {}
-    for cand in candidates:
-        kept = best.get(cand.effective)
-        if kept is None or cand.cost < kept.cost:
-            best[cand.effective] = cand
-    ordered = sorted(best.values(),
-                     key=lambda c: (c.cost, -len(c.effective),
-                                    c.terms[0][0].location[1], c.terms[0][0].location[0]))
-    return ordered, white
+    up, down = prev & ~cur, cur & ~prev
+    return (((up ^ (up >> 1)) | (down ^ (down >> 1))) & ((1 << cols) - 1)).bit_count()
+
+
+def _choose_blocks(grey_rows: list[int], cols: int) -> list[int]:
+    """Grey child blocks to answer through the parent's table, one mask per row.
+
+    Minimizes the parent piece's cost plus one bottom-right entry per grey
+    block left out. The weights on a lattice row depend only on the block
+    rows on either side of it, so the state is the previous row's choice;
+    lattice row 0 is the implicit zero row.
+    """
+    states = {m: ((grey_rows[0] & ~m).bit_count(), [m]) for m in _submasks(grey_rows[0])}
+    for grey in grey_rows[1:]:
+        nxt = {}
+        for cur in _submasks(grey):
+            cost, masks = min(((c + _row_weights(prev, cur, cols), m)
+                               for prev, (c, m) in states.items()), key=lambda t: t[0])
+            nxt[cur] = (cost + (grey & ~cur).bit_count(), masks + [cur])
+        states = nxt
+    return min(((c + _row_weights(prev, 0, cols), m)
+                for prev, (c, m) in states.items()), key=lambda t: t[0])[1]
+
+
+def _node_terms(ps: PrefixSumCube, node: TreeNode) -> list[tuple[PSDataPoint, int]]:
+    """Cheapest signed entries answering the region's part inside one cell."""
+    cell = node.cell
+    side, cols, rows = ps._child_grid(cell)
+    if node.color is Color.GREY:
+        return [(ps.point(cell, (cols - 1, rows - 1)), 1)]
+    if node.color is Color.WHITE:
+        return []
+    b = cell.bounds
+    grey_rows = [0] * rows
+    for child in node.children:
+        if child.color is Color.GREY:
+            c = child.cell.bounds
+            grey_rows[(c.y0 - b.y0) // side] |= 1 << ((c.x0 - b.x0) // side)
+    if cell.level == 1:
+        chosen = grey_rows  # grid locations have no table of their own
+    else:
+        chosen = _choose_blocks(grey_rows, cols)
+    units = frozenset((ci, cj) for cj, mask in enumerate(chosen)
+                      for ci in range(cols) if mask >> ci & 1)
+    terms = _emit_scope(ps, cell, units)
+    for child in node.children:
+        c = child.cell.bounds
+        if ((c.x0 - b.x0) // side, (c.y0 - b.y0) // side) not in units:
+            terms.extend(_node_terms(ps, child))
+    return terms
 
 
 def ps_query_plan(ps: PrefixSumCube, region: RectilinearRegion) -> QueryPlan:
-    """Minimum-cost signed point set answering the query, by exact-cover DP.
+    """Minimum-cost signed entry set answering the query.
 
-    Candidates are grey points and re-colored straddling points; a plan is a
-    set of candidates whose effective areas partition the region, and its
-    cost is the number of entries retrieved. Memoized on the residual region;
-    candidates must fit entirely inside the residual so the signed sum stays
-    exact.
+    A plan splits the region into pieces, one per cell at most: any set of
+    inside grid locations of a level-1 cell, or a union of a level-k cell's
+    child blocks wholly inside the region. A piece costs its nonzero corner
+    weights in the cell's block grid, off the implicit zero row and column.
+    One bottom-up pass over the colored tree finds the cheapest plan: a grey
+    top cell reads its bottom-right entry; a partial level-1 cell reads the
+    corner expansion of its inside locations; a partial level-k cell reads
+    the plans of its partial children, the corner expansion of a chosen set
+    B of its grey children, and the bottom-right entry of every grey child
+    outside B. B is chosen one block row at a time.
     """
     if not region:
         raise ValidationError("cannot plan an empty region")
-    if not region.within(ps.hierarchy.dims):
-        raise BoundsError("region extends outside the grid")
-    candidates, _ = recolor_candidates(ps, region)
-
-    @lru_cache(maxsize=None)
-    def best(residual: frozenset) -> tuple[int, tuple]:
-        if not residual:
-            return 0, ()
-        target = min(residual, key=lambda c: (c[1], c[0]))
-        best_cost, best_pick = None, None
-        for cand in candidates:
-            if target not in cand.effective or not cand.effective <= residual:
-                continue
-            sub_cost, sub_pick = best(residual - cand.effective)
-            if sub_pick is None:
-                continue
-            total = cand.cost + sub_cost
-            if best_cost is None or total < best_cost:
-                best_cost, best_pick = total, (cand,) + sub_pick
-        if best_cost is None:
-            return 10 ** 9, None
-        return best_cost, best_pick
-
-    cost, picks = best(region.cells)
-    best.cache_clear()
-    if picks is None:
-        raise InfeasibleError("region not coverable by available prefix-sum points")
-    terms: list[tuple[PSDataPoint, int]] = []
-    for cand in picks:
-        terms.extend(cand.terms)
+    tree = color_tree(ps.hierarchy, region)
+    # A whole-grid region colors the root grey, which prunes the top cells.
+    top = tree.root.children or [TreeNode(cell, Color.GREY, ()) for cell in ps.hierarchy.top_cells]
+    terms = [t for node in top for t in _node_terms(ps, node)]
     value = sum(s * ps.entry(p) for p, s in terms)
-    assert cost == len(terms)
     return QueryPlan(tuple(terms), value)

@@ -399,16 +399,15 @@ def _components(area: frozenset[Coord]) -> list[frozenset[Coord]]:
 
 
 def _exact_over(h: CubeHierarchy, region: RectilinearRegion, failed: set[Cell]) -> tuple[object, int]:
-    """Exact sum over an all-alive region, preferring the min-cut plan."""
+    """Exact sum over an all-alive region by its min-cut plan."""
     if not region:
         return 0, 0
+    # Every grey cell of an all-alive region has its junction inside the
+    # region, so its summary is readable: the cut reading exactly the maximal
+    # grey cells is finite and min_cut_plan cannot raise InfeasibleError.
     g = mark_failed(build_flow_graph(color_tree(h, region)), failed)
-    try:
-        plan = min_cut_plan(g, h)
-        return plan.value, plan.size
-    except InfeasibleError:
-        total = sum(h.values.at(p) for p in region.cells)
-        return total, len(region)
+    plan = min_cut_plan(g, h)
+    return plan.value, plan.size
 
 
 def recover_region(h: CubeHierarchy, failures: FailureSet,

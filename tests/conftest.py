@@ -3,13 +3,15 @@
 Oracles here are deliberately independent of the implementation paths they
 check: corner classification is re-derived by scanning every lattice point,
 cover minimality by branch-and-bound exact cover, cut properties by
-enumerating all partial-node assignments, and prefix-sum answers by direct
+enumerating all partial-node assignments, prefix-sum plan costs by exact
+cover over every single-cell piece, and prefix-sum answers by direct
 summation.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -131,6 +133,15 @@ def min_cover_oracle(h: CubeHierarchy, region: RectilinearRegion, greedy_bound: 
     return best[0]
 
 
+@dataclass(frozen=True)
+class PSPiece:
+    """A candidate piece of a prefix-sum plan: the area it answers exactly
+    and the number of entries it reads."""
+
+    effective: frozenset
+    cost: int
+
+
 def enumerate_cut_assignments(g):
     """Yield (side lookup, crossing data arcs) for every assignment of the
     free (partial replica) nodes; skips nothing, so keep instances small."""
@@ -162,20 +173,51 @@ def plan_terms_for_query(g, node_side, crossing, q: int):
     return terms
 
 
+def ps_piece_candidates(h: CubeHierarchy, region: RectilinearRegion) -> list[PSPiece]:
+    """Every (cell, nonempty union of its child blocks inside the region) pair.
+
+    Child blocks of a level-1 cell are grid locations. A piece costs the
+    nonzero corner weights of its block set in the cell's block grid, skipping
+    the top and left lattice lines (the implicit zero row and column). Pieces
+    with the same area keep the cheapest cost.
+    """
+    best: dict[frozenset, int] = {}
+    for level_cells in h.levels:
+        for cell in level_cells:
+            side = h.config.side(cell.level - 1)
+            b = cell.bounds
+            blocks = {}
+            for y0 in range(b.y0, b.y1 + 1, side):
+                for x0 in range(b.x0, b.x1 + 1, side):
+                    area = frozenset((x, y) for x in range(x0, min(x0 + side, b.x1 + 1))
+                                     for y in range(y0, min(y0 + side, b.y1 + 1)))
+                    if area <= region.cells:
+                        blocks[((x0 - b.x0) // side, (y0 - b.y0) // side)] = area
+            keys = list(blocks)
+            for bits in range(1, 2 ** len(keys)):
+                chosen = {k for i, k in enumerate(keys) if bits >> i & 1}
+                cols = max(ci for ci, _ in chosen) + 1
+                rows = max(cj for _, cj in chosen) + 1
+                cost = sum(1 for lx in range(1, cols + 1) for ly in range(1, rows + 1)
+                           if ((lx - 1, ly - 1) in chosen) - ((lx, ly - 1) in chosen)
+                           - ((lx - 1, ly) in chosen) + ((lx, ly) in chosen))
+                area = frozenset().union(*(blocks[k] for k in chosen))
+                best[area] = min(cost, best.get(area, cost))
+    return [PSPiece(area, cost) for area, cost in best.items()]
+
+
 def ps_min_cost_oracle(candidates, target: frozenset) -> int | None:
-    """Independent exhaustive search over disjoint candidate combinations."""
-    best = [None]
+    """Exhaustive exact cover of target by disjoint candidates, memoized on
+    the residual; returns the least total cost or None if none covers it."""
+    memo: dict[frozenset, int | None] = {frozenset(): 0}
 
-    def rec(residual: frozenset, cost: int):
-        if best[0] is not None and cost >= best[0]:
-            return
-        if not residual:
-            best[0] = cost
-            return
-        p = min(residual, key=lambda c: (c[1], c[0]))
-        for cand in candidates:
-            if p in cand.effective and cand.effective <= residual:
-                rec(residual - cand.effective, cost + cand.cost)
+    def rec(residual: frozenset) -> int | None:
+        if residual not in memo:
+            p = min(residual, key=lambda c: (c[1], c[0]))
+            costs = [cand.cost + rest for cand in candidates
+                     if p in cand.effective and cand.effective <= residual
+                     for rest in [rec(residual - cand.effective)] if rest is not None]
+            memo[residual] = min(costs, default=None)
+        return memo[residual]
 
-    rec(target, 0)
-    return best[0]
+    return rec(frozenset(target))

@@ -86,6 +86,27 @@ def test_ps_plan(capsys):
     assert "entry 170" in out
 
 
+def test_ps_plan_pinch_prints_weight_two(tmp_path, capsys):
+    # Two squares meeting only at lattice corner (5,5): the level-1 cell
+    # (4,4)-(5,5) holds them diagonally, so entry PS1@(4,4) has weight 2.
+    path = tmp_path / "pinch.json"
+    path.write_text(json.dumps({
+        "schema": 1,
+        "grid": {"width": 16, "height": 16, "values": list(range(256))},
+        "hierarchy": {"fanouts": [2, 2, 2, 2]},
+        "regions": [{"name": "P", "rects": [[2, 2, 4, 4], [5, 5, 7, 7]]}],
+    }))
+    report_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "ps-plan", "--scenario", str(path), "--region", "P",
+                       "--json", str(report_path))
+    assert code == 0
+    assert "cost 12," in out
+    assert "+2 PS1@(4,4) covers (4,4)-(4,4)" in out
+    (result,) = json.loads(report_path.read_text())["ps_plan"]
+    assert result["cost"] == 12
+    assert [t["sign"] for t in result["terms"] if (t["x"], t["y"]) == (4, 4)] == [2]
+
+
 def test_construct_stats_and_dump(capsys):
     code, out, _ = run(capsys, "construct", "--scenario", THREE_LEVEL,
                        "--mode", "ps", "--dump")

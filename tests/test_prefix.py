@@ -5,10 +5,10 @@ from gridcubes.grid import (GridDims, GridValues, Rect, RectilinearRegion,
                             classify_corners, region_from_rectangles)
 from gridcubes.hierarchy import HierarchyConfig, build_hierarchy
 from gridcubes.prefix import (build_ps_cube, corner_weights, ps_query_plan,
-                              rectangle_sum, rectilinear_sum, recolor_candidates,
-                              recolor_sets)
+                              rectangle_sum, rectilinear_sum, recolor_sets)
 
-from conftest import has_pinch, naive_region_sum, ps_min_cost_oracle, random_region
+from conftest import (has_pinch, naive_region_sum, ps_min_cost_oracle, ps_piece_candidates,
+                      random_region)
 
 # 4x4 matrix whose prefix table shows 170 bottom-right with interior entries
 # 12, 36 and 65; the 3x3 region away from the anchored edges sums to 81.
@@ -94,15 +94,24 @@ def test_rectangle_sum_anchored_single_point():
 
 
 def test_rectangle_sum_random(rng):
-    vals, ps = random_cube(8, 8, (4, 2), seed=24)
-    for cell in ps.hierarchy.cells_of(1):
-        b = cell.bounds
-        for _ in range(20):
-            x0 = rng.randrange(b.x0, b.x1 + 1)
-            y0 = rng.randrange(b.y0, b.y1 + 1)
-            rect = Rect(x0, y0, rng.randrange(x0, b.x1 + 1), rng.randrange(y0, b.y1 + 1))
-            value, _ = rectangle_sum(ps, cell, rect)
-            assert value == vals.rect_sum(rect)
+    # On the 6x2 grid every cell above level 1 is clipped at the right and
+    # bottom edges, so rectangles reaching those edges end inside a block.
+    for w, h, fanouts, seed in ((8, 8, (4, 2), 24), (6, 2, (2, 2, 2), 34)):
+        vals, ps = random_cube(w, h, fanouts, seed)
+        for level_cells in ps.hierarchy.levels:
+            for cell in level_cells:
+                side, cols, rows = ps._child_grid(cell)
+                b = cell.bounds
+                for _ in range(20):
+                    c0, r0 = rng.randrange(cols), rng.randrange(rows)
+                    x1, y1 = ps.point(cell, (rng.randrange(c0, cols),
+                                             rng.randrange(r0, rows))).location
+                    rect = Rect(b.x0 + c0 * side, b.y0 + r0 * side, x1, y1)
+                    value, _ = rectangle_sum(ps, cell, rect)
+                    assert value == vals.rect_sum(rect)
+        if fanouts == (2, 2, 2):
+            top = ps.hierarchy.top_cells[0]
+            assert rectangle_sum(ps, top, Rect(4, 0, 5, 1))[0] == vals.rect_sum(Rect(4, 0, 5, 1))
 
 
 def test_rectangle_sum_rejects_outside_and_misaligned():
@@ -189,6 +198,14 @@ def test_plan_single_full_cell_costs_one():
     assert plan.value == vals.rect_sum(b)
 
 
+def test_plan_rejects_empty_and_outside_regions():
+    vals, ps = matrix_cube()
+    with pytest.raises(ValidationError):
+        ps_query_plan(ps, RectilinearRegion(frozenset()))
+    with pytest.raises(BoundsError):
+        ps_query_plan(ps, RectilinearRegion(frozenset({(3, 3), (4, 3)})))
+
+
 def test_plan_matrix_region_costs_four():
     vals, ps = matrix_cube()
     region = region_from_rectangles([((1, 1), (3, 3))], GridDims(4, 4))
@@ -198,15 +215,19 @@ def test_plan_matrix_region_costs_four():
 
 
 def test_plan_cost_matches_exhaustive_oracle(rng):
-    vals, ps = random_cube(6, 6, (3, 2), seed=31)
-    for _ in range(40):
-        region = random_region(rng, 6, 6, max_rects=2, span=4)
-        plan = ps_query_plan(ps, region)
-        assert plan.value == naive_region_sum(vals, region)
-        candidates, _ = recolor_candidates(ps, region)
-        oracle = ps_min_cost_oracle(candidates, region.cells)
-        assert oracle is not None
-        assert plan.size == oracle
+    # The last two inputs give level-2 and level-3 cells 3x3 and 2x2 block
+    # grids, where answering grey blocks through the parent's table pays off.
+    for w, h, fanouts, seed, max_rects, span in ((6, 6, (3, 2), 31, 2, 4),
+                                                 (6, 6, (2, 3), 39, 3, 5),
+                                                 (8, 8, (2, 2, 2), 40, 3, 6)):
+        vals, ps = random_cube(w, h, fanouts, seed)
+        for _ in range(40):
+            region = random_region(rng, w, h, max_rects=max_rects, span=span)
+            plan = ps_query_plan(ps, region)
+            assert plan.value == naive_region_sum(vals, region)
+            oracle = ps_min_cost_oracle(ps_piece_candidates(ps.hierarchy, region), region.cells)
+            assert oracle is not None
+            assert plan.size == oracle
 
 
 def test_recolored_sets_partition_and_cancel(rng):
@@ -226,6 +247,15 @@ def test_recolored_sets_partition_and_cancel(rng):
             assert total == sum(vals.at(c) for c in cand.effective)
 
 
+def pinched_region(rng, width, height):
+    """Two random rectangles meeting only at one lattice corner."""
+    x, y = rng.randrange(1, width), rng.randrange(1, height)
+    x0, y0 = rng.randrange(x), rng.randrange(y)
+    x1, y1 = rng.randrange(x, width), rng.randrange(y, height)
+    return region_from_rectangles([((x0, y0), (x - 1, y - 1)), ((x, y), (x1, y1))],
+                                  GridDims(width, height))
+
+
 def test_plan_cost_never_beaten_by_corner_method(rng):
     vals, ps = random_cube(6, 6, (6,), seed=32)
     for _ in range(40):
@@ -234,3 +264,28 @@ def test_plan_cost_never_beaten_by_corner_method(rng):
         plan = ps_query_plan(ps, region)
         _, points = rectilinear_sum(ps, region)
         assert plan.size <= len(points)
+    # Pinched regions on a square grid, then random regions on a grid whose
+    # right and bottom cells are clipped at every level.
+    for w, h, fanouts, seed, draw in ((12, 12, (2, 2, 3), 35, pinched_region),
+                                      (11, 7, (2, 3), 36, random_region)):
+        vals, ps = random_cube(w, h, fanouts, seed)
+        for _ in range(40):
+            region = draw(rng, w, h)
+            plan = ps_query_plan(ps, region)
+            _, points = rectilinear_sum(ps, region)
+            assert plan.size <= len(points)
+            assert plan.value == naive_region_sum(vals, region)
+
+
+@pytest.mark.parametrize("w,h,fanouts,seed,rects,cost", [
+    (32, 32, (4, 2, 2, 2), 1, [((12, 11), (20, 18))], 12),
+    (16, 16, (2, 2, 2, 2), 37, [((2, 2), (4, 4)), ((5, 5), (7, 7))], 12),
+    (6, 2, (2, 2, 2), 38, [((4, 0), (5, 1))], 1),
+], ids=["rectangle-32", "pinch-16", "clipped-6x2"])
+def test_plan_regression_regions(w, h, fanouts, seed, rects, cost):
+    vals, ps = random_cube(w, h, fanouts, seed)
+    region = region_from_rectangles(rects, GridDims(w, h))
+    plan = ps_query_plan(ps, region)
+    _, points = rectilinear_sum(ps, region)
+    assert plan.size == cost <= len(points)
+    assert plan.value == naive_region_sum(vals, region)
