@@ -2,8 +2,9 @@
 
 Builds per-cell SUM summaries at several granularities over a grid of sensor
 readings, plans spatially constrained aggregate queries with a provably
-minimal number of data points via a max-flow/min-cut reduction, optimizes
-several queries jointly, supports a prefix-sum cube variant, simulates the
+minimal number of data points via a min-cut reduction, solved exactly by a
+two-pass dynamic program over the cell-containment tree, optimizes several
+queries jointly, supports a prefix-sum cube variant, simulates the
 distributed construction protocol and recovers exact or estimated answers
 after node and area failures.
 """

@@ -20,9 +20,10 @@ class ConfigError(GridCubesError):
 class InfeasibleError(GridCubesError):
     """No finite-cost query plan exists (only possible with failures).
 
-    `blocking` holds the failed cells whose unusable data points cross the
-    minimal cut, i.e. the ones that would have to be readable for an exact
-    answer.
+    `blocking` holds the failed cells with a data point on a source-to-sink
+    path of the flow network made only of infinite arcs. Every such path
+    crosses every cut, so these are the cells that would have to be readable
+    again: restoring all of them leaves a finite cut.
     """
 
     def __init__(self, message, blocking=()):

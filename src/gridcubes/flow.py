@@ -19,13 +19,25 @@ point can ever cross the same cut; the one min cut then yields all per-query
 plans and the shared retrieval set.
 
 Infinity is a sentinel capacity one above the total unit capacity, so an
-infeasible instance (possible only after failures) is detected by the flow
+infeasible instance (possible only after failures) is detected by the cut
 value exceeding that budget.
+
+The cut is solved exactly by dynamic programming. Grey-side nodes (G, M+)
+sit on the source side and white-side nodes (W, M-) on the sink side in
+every finite cut, so only the partial replicas are free, and those form the
+cell-containment tree: the cut is a pairwise energy on a tree (Kolmogorov &
+Zabih, "What energy functions can be minimized via graph cuts?", TPAMI
+2004). A data arc to a grey-side or white-side node is a cost on its parent
+end's side, and an arc between a partial replica and its parent's is a cost
+on the pair. One bottom-up pass gives every partial replica its subtree's
+cost on either side; one top-down pass places each replica, sending ties to
+the sink side, which reproduces the canonical minimum cut: the unique one
+with the smallest source side. ROOT is placed by the DP as well, so the cut
+value stays exact (equal to the maximum flow) when no finite cut exists.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -65,17 +77,21 @@ class QueryPlan:
 
 
 class FlowGraph:
-    """Immutable flow network; solving copies capacities into scratch arrays."""
+    """Immutable flow network.
 
-    def __init__(self, num_queries, node_kind, adj, arc_to, arc_cap,
-                 data_arcs, u_node, unit_count, failed=frozenset()):
+    Arc i (even) and its reverse i + 1 are stored side by side: arc_to holds
+    their heads and arc_cap their capacities, the reverse arc's being 0.
+    """
+
+    def __init__(self, num_queries, node_kind, arc_to, arc_cap,
+                 data_arcs, u_node, g_node, unit_count, failed=frozenset()):
         self.num_queries = num_queries
         self.node_kind = node_kind      # per node: "s"/"t"/"root" or (cell, role)
-        self.adj = adj
         self.arc_to = arc_to
         self.arc_cap = arc_cap
         self.data_arcs = data_arcs
         self.u_node = u_node            # cell -> partial replica node id
+        self.g_node = g_node            # cell -> grey replica node id
         self.unit_count = unit_count
         self.inf = unit_count + 1
         self.failed = failed
@@ -102,21 +118,22 @@ class FlowGraph:
         return None
 
 
-def _record_colors(trees: Sequence[HierarchyTree]) -> dict[Cell, dict[int, Color]]:
-    colors: dict[Cell, dict[int, Color]] = {}
+def _record_colors(trees: Sequence[HierarchyTree]):
+    """Per cell: its color in each query and its parent cell (None on top)."""
+    records: dict[Cell, tuple[dict[int, Color], Cell | None]] = {}
     for qi, tree in enumerate(trees):
         if tree.root.color is Color.GREY:
             # Region covers the whole grid: the usable data points are the
             # top-level cells, all grey.
             for top in tree.hierarchy.top_cells:
-                colors.setdefault(top, {})[qi] = Color.GREY
+                records.setdefault(top, ({}, None))[0][qi] = Color.GREY
             continue
-        stack = list(tree.root.children)
+        stack = [(node, None) for node in tree.root.children]
         while stack:
-            node = stack.pop()
-            colors.setdefault(node.cell, {})[qi] = node.color
-            stack.extend(node.children)
-    return colors
+            node, parent = stack.pop()
+            records.setdefault(node.cell, ({}, parent))[0][qi] = node.color
+            stack.extend((child, node.cell) for child in node.children)
+    return records
 
 
 def _build_graph(trees: Sequence[HierarchyTree]) -> FlowGraph:
@@ -124,15 +141,13 @@ def _build_graph(trees: Sequence[HierarchyTree]) -> FlowGraph:
     if any(t.hierarchy is not h for t in trees[1:]):
         raise ValidationError("all trees must be colored over the same hierarchy")
 
-    colors = _record_colors(trees)
-    cells = sorted(colors, key=lambda c: (-c.level, c.bounds.y0, c.bounds.x0))
+    records = sorted(_record_colors(trees).items(),
+                     key=lambda kv: (-kv[0].level, kv[0].bounds.y0, kv[0].bounds.x0))
 
     node_kind: list = ["s", "t", "root"]
-    adj: list[list[int]] = [[], [], []]
 
     def new_node(kind) -> int:
         node_kind.append(kind)
-        adj.append([])
         return len(node_kind) - 1
 
     arc_to: list[int] = []
@@ -142,21 +157,23 @@ def _build_graph(trees: Sequence[HierarchyTree]) -> FlowGraph:
         i = len(arc_to)
         arc_to.extend((v, u))
         arc_cap.extend((cap, 0))
-        adj[u].append(i)
-        adj[v].append(i + 1)
         return i
 
     g_node: dict[Cell, int] = {}
     w_node: dict[Cell, int] = {}
     u_node: dict[Cell, int] = {}
-    for cell in cells:
-        qcolors = colors[cell]
-        if any(c is Color.PARTIAL for c in qcolors.values()):
+    groups = []  # (cell, parent cell, grey queries, white queries, partial queries)
+    for cell, (qcolors, parent_cell) in records:
+        greys = {q for q, c in qcolors.items() if c is Color.GREY}
+        whites = {q for q, c in qcolors.items() if c is Color.WHITE}
+        parts = {q for q, c in qcolors.items() if c is Color.PARTIAL}
+        if parts:
             u_node[cell] = new_node((cell, "U"))
-        if any(c is Color.GREY for c in qcolors.values()):
+        if greys:
             g_node[cell] = new_node((cell, "G"))
-        if any(c is Color.WHITE for c in qcolors.values()):
+        if whites:
             w_node[cell] = new_node((cell, "W"))
+        groups.append((cell, parent_cell, greys, whites, parts))
 
     # Unit capacities are assigned first as placeholders and patched once the
     # total unit count (and so the infinity sentinel) is known.
@@ -172,16 +189,8 @@ def _build_graph(trees: Sequence[HierarchyTree]) -> FlowGraph:
     for node in w_node.values():
         pending_inf.append(add_arc(node, SINK, 0))
 
-    for cell in cells:
-        qcolors = colors[cell]
-        greys = {q for q, c in qcolors.items() if c is Color.GREY}
-        whites = {q for q, c in qcolors.items() if c is Color.WHITE}
-        parts = {q for q, c in qcolors.items() if c is Color.PARTIAL}
-        if cell.level == h.height:
-            parent = ROOT
-        else:
-            parent = u_node[h.cell_at(cell.level + 1, (cell.bounds.x0, cell.bounds.y0))]
-
+    for cell, parent_cell, greys, whites, parts in groups:
+        parent = ROOT if parent_cell is None else u_node[parent_cell]
         if parts:
             # The gadgets below merge a forced-side replica's parent edge
             # with the partial replica's, so one crossing serves both and no
@@ -216,8 +225,8 @@ def _build_graph(trees: Sequence[HierarchyTree]) -> FlowGraph:
     for i in pending_inf:
         arc_cap[i] = inf
 
-    return FlowGraph(len(trees), node_kind, adj, arc_to, arc_cap,
-                     data_arcs, u_node, unit_count)
+    return FlowGraph(len(trees), node_kind, arc_to, arc_cap,
+                     data_arcs, u_node, g_node, unit_count)
 
 
 def build_flow_graph(tree: HierarchyTree) -> FlowGraph:
@@ -235,65 +244,120 @@ def mark_failed(g: FlowGraph, failed_cells: Iterable[Cell]) -> FlowGraph:
     for da in g.data_arcs:
         if da.cell in failed:
             cap[da.arc] = g.inf
-    return FlowGraph(g.num_queries, g.node_kind, g.adj, g.arc_to, cap,
-                     g.data_arcs, g.u_node, g.unit_count, failed)
+    return FlowGraph(g.num_queries, g.node_kind, g.arc_to, cap,
+                     g.data_arcs, g.u_node, g.g_node, g.unit_count, failed)
 
 
-def _max_flow(g: FlowGraph) -> tuple[int, list[int]]:
-    """Edmonds-Karp; returns (flow value, residual capacities)."""
-    cap = list(g.arc_cap)
-    adj = g.adj
-    to = g.arc_to
-    total = 0
-    n = g.node_count
-    while True:
-        parent_arc = [-1] * n
-        parent_arc[SOURCE] = -2
-        queue = deque([SOURCE])
-        while queue:
-            u = queue.popleft()
-            if u == SINK:
-                break
-            for i in adj[u]:
-                v = to[i]
-                if cap[i] > 0 and parent_arc[v] == -1:
-                    parent_arc[v] = i
-                    queue.append(v)
-        if parent_arc[SINK] == -1:
-            return total, cap
-        bottleneck = None
-        v = SINK
-        while v != SOURCE:
-            i = parent_arc[v]
-            bottleneck = cap[i] if bottleneck is None else min(bottleneck, cap[i])
-            v = to[i ^ 1]
-        v = SINK
-        while v != SOURCE:
-            i = parent_arc[v]
-            cap[i] -= bottleneck
-            cap[i ^ 1] += bottleneck
-            v = to[i ^ 1]
-        total += bottleneck
-
-
-def _reachable(g: FlowGraph, residual: list[int]) -> set[int]:
-    seen = {SOURCE}
-    queue = deque([SOURCE])
-    while queue:
-        u = queue.popleft()
-        for i in g.adj[u]:
-            v = g.arc_to[i]
-            if residual[i] > 0 and v not in seen:
+def _closure(start: int, step: dict[int, list[int]]) -> set[int]:
+    seen = {start}
+    stack = [start]
+    while stack:
+        for v in step.get(stack.pop(), ()):
+            if v not in seen:
                 seen.add(v)
-                queue.append(v)
+                stack.append(v)
     return seen
 
 
+def _blocking(g: FlowGraph) -> frozenset[Cell]:
+    """Failed cells with a data arc on a source-to-sink path of infinite arcs.
+
+    Such a path crosses every cut, so these are exactly the cells whose loss
+    leaves no finite cut; restoring all of them makes the instance feasible.
+    """
+    ahead: dict[int, list[int]] = {}
+    behind: dict[int, list[int]] = {}
+    for i in range(0, len(g.arc_to), 2):
+        if g.arc_cap[i] >= g.inf:
+            u, v = g.arc_to[i + 1], g.arc_to[i]
+            ahead.setdefault(u, []).append(v)
+            behind.setdefault(v, []).append(u)
+    from_source = _closure(SOURCE, ahead)
+    to_sink = _closure(SINK, behind)
+    return frozenset(da.cell for da in g.data_arcs if da.cell in g.failed
+                     and da.u in from_source and da.v in to_sink)
+
+
 def _solve(g: FlowGraph):
-    flow, residual = _max_flow(g)
-    reach = _reachable(g, residual)
-    crossing = tuple(da for da in g.data_arcs if da.u in reach and da.v not in reach)
-    return flow, reach, crossing, residual
+    """Exact minimum s-t cut of `g` by two passes over the replica tree.
+
+    Returns (cut value, source-side node set, crossing data arcs, blocking
+    cells); the cut value equals the maximum flow, and blocking is empty
+    unless the value exceeds the unit budget.
+
+    The free nodes are ROOT and the partial replicas; every data arc runs
+    between a cell's node and its parent cell's partial replica (or ROOT).
+    An arc whose other end is a grey-side node (G, M+) costs its capacity
+    when the parent end sits on the sink side, one whose other end is a
+    white-side node (W, M-) when the parent end sits on the source side, and
+    an arc between two partial replicas is a pairwise cost on the tree edge.
+    The bottom-up pass gives each free node its subtree's (cost on S, cost
+    on T); parents' partial replicas are created before their children's,
+    so descending node ids visit children first. The top-down pass then
+    places each node, sending ties to the sink side, which yields the
+    unique minimal source side: the set of nodes a maximum flow's residual
+    graph reaches from the source.
+
+    Grey-side nodes sit on the source side and white-side nodes on the sink
+    side in every finite cut. Only when the instance is infeasible can a
+    grey-side node tie, when its own data arc is infinite and its parent
+    end (and, for M+, its cell's partial replica) sits on the sink side; it
+    then goes to the sink side too.
+    """
+    n = g.node_count
+    inf, cap = g.inf, g.arc_cap
+    free = [False] * n
+    free[ROOT] = True
+    for node in g.u_node.values():
+        free[node] = True
+    on_s = [0] * n    # subtree cost with the node on the source side
+    on_t = [0] * n    # subtree cost with the node on the sink side
+    up = [0] * n      # capacity of the arc node -> parent
+    down = [0] * n    # capacity of the arc parent -> node
+    # A partial replica tied to its parent only through gadgets has no
+    # pairwise cost, so it may hang directly off ROOT.
+    parent = [ROOT] * n
+    on_s[ROOT] = inf  # ROOT -> SINK
+    for da in g.data_arcs:
+        w = cap[da.arc]
+        if da.sign > 0:
+            if free[da.u]:
+                up[da.u] += w
+                parent[da.u] = da.v
+            else:
+                on_t[da.v] += w
+        elif free[da.v]:
+            down[da.v] += w
+            parent[da.v] = da.u
+        else:
+            on_s[da.u] += w
+
+    order = sorted(g.u_node.values(), reverse=True)
+    for c in order:
+        p, s, t = parent[c], on_s[c], on_t[c]
+        on_t[p] += min(t, s + up[c])
+        on_s[p] += min(t + down[c], s)
+
+    source = [False] * n
+    source[SOURCE] = True
+    source[ROOT] = on_s[ROOT] < on_t[ROOT]
+    for c in reversed(order):
+        if source[parent[c]]:
+            source[c] = on_s[c] < on_t[c] + down[c]
+        else:
+            source[c] = on_s[c] + up[c] < on_t[c]
+    for da in g.data_arcs:
+        if da.sign > 0 and not free[da.u]:
+            # da.u is G, or M+ fed by G and by the cell's partial replica.
+            if (source[da.v] or cap[da.arc] < inf
+                    or (da.cond and source[g.u_node[da.cell]])):
+                source[da.u] = source[g.g_node[da.cell]] = True
+
+    value = min(on_s[ROOT], on_t[ROOT])
+    reach = {v for v in range(n) if source[v]}
+    crossing = tuple(da for da in g.data_arcs if source[da.u] and not source[da.v])
+    blocking = _blocking(g) if value > g.unit_count else frozenset()
+    return value, reach, crossing, blocking
 
 
 def _extract_plans(g: FlowGraph, h: CubeHierarchy, reach: set[int],
@@ -319,26 +383,25 @@ def _extract_plans(g: FlowGraph, h: CubeHierarchy, reach: set[int],
     return plans, retrieval
 
 
-def _check_feasible(g: FlowGraph, flow: int, residual: list[int]):
-    if flow > g.unit_count:
-        # The failed data points actually carrying flow are the ones whose
-        # unreadable summaries block every finite cut.
-        blocking = {da.cell for da in g.data_arcs
-                    if da.cell in g.failed and residual[da.arc] < g.arc_cap[da.arc]}
+def _check_feasible(g: FlowGraph, value: int, blocking: frozenset[Cell]):
+    if value > g.unit_count:
         raise InfeasibleError(
-            f"no finite cut: min cut {flow} exceeds unit budget {g.unit_count}",
+            f"no finite cut: min cut {value} exceeds unit budget {g.unit_count}",
             blocking=blocking)
 
 
 def min_cut_plan(g: FlowGraph, h: CubeHierarchy) -> QueryPlan:
     """The provably smallest signed data-point set answering the query.
 
-    Raises InfeasibleError (with the blocking cells) when failures leave no
-    finite cut. Ties between minimum cuts resolve to the canonical cut whose
-    source side is the residual-reachability set, the unique minimal one.
+    The cut is solved exactly by the two-pass tree DP of `_solve`. Ties
+    between minimum cuts go to the sink side, which yields the canonical cut
+    with the unique minimal source side (the nodes a maximum flow's residual
+    graph reaches from the source). Raises InfeasibleError when failures
+    leave no finite cut; its `blocking` holds the failed cells with a data
+    point on a source-to-sink path of infinite arcs.
     """
-    flow, reach, crossing, residual = _solve(g)
-    _check_feasible(g, flow, residual)
+    value, reach, crossing, blocking = _solve(g)
+    _check_feasible(g, value, blocking)
     plans, _ = _extract_plans(g, h, reach, crossing)
     return plans[0]
 
@@ -365,8 +428,8 @@ def combined_plan(trees: Sequence[HierarchyTree], h: CubeHierarchy,
     g = _build_graph(list(trees))
     if failed:
         g = mark_failed(g, failed)
-    flow, reach, crossing, residual = _solve(g)
-    _check_feasible(g, flow, residual)
+    value, reach, crossing, blocking = _solve(g)
+    _check_feasible(g, value, blocking)
     plans, retrieval = _extract_plans(g, h, reach, crossing)
 
     individual_plans = []
@@ -382,4 +445,4 @@ def combined_plan(trees: Sequence[HierarchyTree], h: CubeHierarchy,
     if len(individual_points) < len(retrieval):
         return CombinedResult(tuple(individual_plans), frozenset(individual_points),
                               len(individual_points), from_combined=False)
-    return CombinedResult(tuple(plans), frozenset(retrieval), flow, from_combined=True)
+    return CombinedResult(tuple(plans), frozenset(retrieval), value, from_combined=True)

@@ -136,11 +136,18 @@ class CubeHierarchy:
         """All cells whose junction is p, ordered by level ascending."""
         if not self.dims.contains(p):
             raise BoundsError(f"{p} outside grid {self.dims}")
+        x, y = p
+        last_x, last_y = self.dims.width - 1, self.dims.height - 1
         out = []
         for level in range(1, self.height + 1):
-            cell = self.cell_at(level, p)
-            if cell.junction == p:
-                out.append(cell)
+            # A level-k junction ends a side-long run or the grid; it then
+            # ends one at every lower level too.
+            side = self.config.side(level)
+            ends_x = (x + 1) % side == 0 or x == last_x
+            ends_y = (y + 1) % side == 0 or y == last_y
+            if not (ends_x and ends_y):
+                break
+            out.append(self.cell_at(level, p))
         return out
 
     def dump(self) -> list[str]:

@@ -318,16 +318,6 @@ def recolor_sets(ps: PrefixSumCube, region: RectilinearRegion) -> RecoloredSets:
     return RecoloredSets(tuple(grey), tuple(white), tuple(straddling), tuple(recolored))
 
 
-def _submasks(mask: int) -> Iterator[int]:
-    """Every submask of mask, in increasing order."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
-
-
 def _row_weights(prev: int, cur: int, cols: int) -> int:
     """Nonzero corner weights on the lattice row between two block rows.
 
@@ -343,20 +333,50 @@ def _choose_blocks(grey_rows: list[int], cols: int) -> list[int]:
     """Grey child blocks to answer through the parent's table, one mask per row.
 
     Minimizes the parent piece's cost plus one bottom-right entry per grey
-    block left out. The weights on a lattice row depend only on the block
-    rows on either side of it, so the state is the previous row's choice;
-    lattice row 0 is the implicit zero row.
+    block left out. The corner weight at lattice point (i, j) depends only
+    on blocks (i-1, j-1), (i, j-1), (i-1, j) and (i, j), so blocks are
+    decided one at a time in row-major order with a broken profile as the
+    state: bits below i hold this row's choices, bits from i on the previous
+    row's, and bit `cols` the previous row's choice at column i - 1. Lattice
+    row 0 is the implicit zero row. Among cheapest choices the one with the
+    smallest masks, compared from the last row up, wins.
     """
-    states = {m: ((grey_rows[0] & ~m).bit_count(), [m]) for m in _submasks(grey_rows[0])}
-    for grey in grey_rows[1:]:
-        nxt = {}
-        for cur in _submasks(grey):
-            cost, masks = min(((c + _row_weights(prev, cur, cols), m)
-                               for prev, (c, m) in states.items()), key=lambda t: t[0])
-            nxt[cur] = (cost + (grey & ~cur).bit_count(), masks + [cur])
-        states = nxt
-    return min(((c + _row_weights(prev, 0, cols), m)
-                for prev, (c, m) in states.items()), key=lambda t: t[0])[1]
+    full = (1 << cols) - 1
+    costs = {0: 0}
+    steps: list[dict[int, int]] = []  # per block: state -> predecessor
+    for j, grey in enumerate(grey_rows):
+        for i in range(cols):
+            greyness = grey >> i & 1
+            inner = j and i > 0        # weight at lattice point (i, j)
+            edge = j and i == cols - 1  # weight at lattice point (cols, j)
+            keep = full & ~(1 << i)
+            nxt: dict[int, int] = {}
+            back: dict[int, int] = {}
+            for state, cost in costs.items():
+                above = state >> i & 1
+                corner = state >> cols
+                d_left = corner - (state >> (i - 1) & 1) if inner else 0
+                for chosen in range(greyness + 1):
+                    total = cost + greyness - chosen
+                    if inner and d_left != above - chosen:
+                        total += 1
+                    if edge and above != chosen:
+                        total += 1
+                    new = (state & keep) | chosen << i | above << cols
+                    best = nxt.get(new)
+                    if best is None or total < best or (total == best and not corner):
+                        nxt[new] = total
+                        back[new] = state
+            costs = nxt
+            steps.append(back)
+    state = min(costs, key=lambda st: (costs[st] + _row_weights(st & full, 0, cols),
+                                       st & full, st >> cols))
+    masks = []
+    for k in range(len(steps) - 1, -1, -1):
+        if k % cols == cols - 1:
+            masks.append(state & full)
+        state = steps[k][state]
+    return masks[::-1]
 
 
 def _node_terms(ps: PrefixSumCube, node: TreeNode) -> list[tuple[PSDataPoint, int]]:
@@ -373,8 +393,8 @@ def _node_terms(ps: PrefixSumCube, node: TreeNode) -> list[tuple[PSDataPoint, in
         if child.color is Color.GREY:
             c = child.cell.bounds
             grey_rows[(c.y0 - b.y0) // side] |= 1 << ((c.x0 - b.x0) // side)
-    if cell.level == 1:
-        chosen = grey_rows  # grid locations have no table of their own
+    if cell.level == 1 or not any(grey_rows):
+        chosen = grey_rows  # grid locations have no table; no grey, no choice
     else:
         chosen = _choose_blocks(grey_rows, cols)
     units = frozenset((ci, cj) for cj, mask in enumerate(chosen)
@@ -399,7 +419,7 @@ def ps_query_plan(ps: PrefixSumCube, region: RectilinearRegion) -> QueryPlan:
     corner expansion of its inside locations; a partial level-k cell reads
     the plans of its partial children, the corner expansion of a chosen set
     B of its grey children, and the bottom-right entry of every grey child
-    outside B. B is chosen one block row at a time.
+    outside B. B is chosen one block at a time, in row-major order.
     """
     if not region:
         raise ValidationError("cannot plan an empty region")

@@ -320,12 +320,10 @@ def recover_junction(states: dict[Coord, NodeState], failed: Coord, level: int,
 def failed_datapoints(h: CubeHierarchy, failures: FailureSet) -> set[Cell]:
     """Cells whose stored summary is lost: junction inside the failed area,
     plus the readings of the failed nodes themselves."""
-    area = failures.area()
     out: set[Cell] = set()
-    for p in area:
-        out.add(Cell(0, cell_of(h.config, 0, p).bounds))
-        for cell in h.cells_at(p):
-            out.add(cell)
+    for p in failures.area():
+        out.add(cell_of(h.config, 0, p))
+        out.update(h.cells_at(p))
     return out
 
 
@@ -411,16 +409,19 @@ def _exact_over(h: CubeHierarchy, region: RectilinearRegion, failed: set[Cell]) 
 
 
 def recover_region(h: CubeHierarchy, failures: FailureSet,
-                   query: RectilinearRegion) -> RecoveryResult:
+                   query: RectilinearRegion,
+                   failed_dps: set[Cell] | None = None) -> RecoveryResult:
     """Answer a query across failures, exactly when possible.
 
     Each failed component intersecting the query is grown level by level
     until a readable enclosure is found; its sum is the enclosing cells'
     values minus the alive remainder. An enclosure larger than the requested
-    part yields a uniformity estimate scaled by the area ratio.
+    part yields a uniformity estimate scaled by the area ratio. `failed_dps`
+    is failed_datapoints(h, failures) when the caller has it already.
     """
     area = failures.area()
-    failed_dps = failed_datapoints(h, failures)
+    if failed_dps is None:
+        failed_dps = failed_datapoints(h, failures)
     q_failed = frozenset(query.cells & area)
     q_alive = RectilinearRegion(query.cells - area)
     exact_value, reads = _exact_over(h, q_alive, failed_dps)
@@ -487,4 +488,4 @@ def plan_with_failures(h: CubeHierarchy, failures: FailureSet,
     try:
         return min_cut_plan(g, h)
     except InfeasibleError:
-        return recover_region(h, failures, query)
+        return recover_region(h, failures, query, failed_dps)

@@ -1,9 +1,10 @@
+import networkx as nx
 import pytest
 
 from gridcubes.errors import InfeasibleError
 from gridcubes.division import greedy_divide
-from gridcubes.flow import (build_flow_graph, combined_plan, mark_failed,
-                            min_cut_plan)
+from gridcubes.flow import (_build_graph, _solve, build_flow_graph, combined_plan,
+                            mark_failed, min_cut_plan)
 from gridcubes.grid import GridDims, GridValues, RectilinearRegion, region_from_rectangles
 from gridcubes.hierarchy import Color, HierarchyConfig, build_hierarchy, color_tree
 
@@ -281,3 +282,76 @@ def test_failed_plans_match_enumeration(rng):
         assert not (set(fail) & plan.points())
         assert plan.size == min(sizes)
         assert plan.value == naive_region_sum(vals, region)
+
+
+def random_instances(rng, fanouts, count):
+    """(graph, trees) for single, 2- and 3-query graphs on grids 4-13, about
+    half of them with up to a third of their data-point cells failed."""
+    for _ in range(count):
+        dims = GridDims(rng.randint(4, 13), rng.randint(4, 13))
+        vals = GridValues.random(dims, seed=rng.randrange(10**6), low=0, high=9)
+        h = build_hierarchy(vals, HierarchyConfig(dims, fanouts))
+        trees = [color_tree(h, random_region(rng, dims.width, dims.height))
+                 for _ in range(rng.choice((1, 1, 2, 3)))]
+        g = _build_graph(trees)
+        if rng.random() < 0.5:
+            cells = sorted({da.cell for da in g.data_arcs},
+                           key=lambda c: (c.level, c.bounds.y0, c.bounds.x0))
+            g = mark_failed(g, rng.sample(cells, rng.randint(1, (len(cells) + 2) // 3)))
+        yield g, trees
+
+
+def networkx_cut(g):
+    """(max-flow value, nodes reachable from the source in the residual graph)."""
+    net = nx.DiGraph()
+    net.add_nodes_from(range(g.node_count))
+    for i in range(0, len(g.arc_to), 2):
+        u, v = g.arc_to[i + 1], g.arc_to[i]
+        if net.has_edge(u, v):
+            net[u][v]["capacity"] += g.arc_cap[i]
+        else:
+            net.add_edge(u, v, capacity=g.arc_cap[i])
+    value, flow = nx.maximum_flow(net, 0, 1)
+
+    def residual(u, v):
+        forward = net[u][v]["capacity"] - flow[u][v] if net.has_edge(u, v) else 0
+        backward = flow[v][u] if net.has_edge(v, u) else 0
+        return forward + backward
+
+    reach = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in set(net.successors(u)) | set(net.predecessors(u)):
+            if v not in reach and residual(u, v) > 0:
+                reach.add(v)
+                stack.append(v)
+    return value, reach
+
+
+@pytest.mark.parametrize("fanouts", [(2, 2), (2, 2, 2), (3, 2), (1, 2, 2)])
+def test_solve_matches_networkx_max_flow(rng, fanouts):
+    infeasible = 0
+    for g, _ in random_instances(rng, fanouts, 40):
+        value, reach, crossing, blocking = _solve(g)
+        assert (value, reach) == networkx_cut(g)
+        assert crossing == tuple(da for da in g.data_arcs
+                                 if da.u in reach and da.v not in reach)
+        assert bool(blocking) == (value > g.unit_count)
+        infeasible += value > g.unit_count
+    assert infeasible  # the infeasible case is covered too
+
+
+def test_restoring_blocking_cells_makes_instance_feasible(rng):
+    # Restoring the blocking cells makes an infeasible instance feasible.
+    checked = 0
+    for fanouts in ((2, 2), (2, 2, 2), (3, 2), (1, 2, 2)):
+        for g, trees in random_instances(rng, fanouts, 60):
+            value, _, _, blocking = _solve(g)
+            if value <= g.unit_count:
+                continue
+            assert blocking and blocking <= g.failed
+            restored = mark_failed(_build_graph(trees), g.failed - blocking)
+            assert _solve(restored)[0] <= restored.unit_count
+            checked += 1
+    assert checked >= 20

@@ -97,6 +97,17 @@ def test_cells_at_junctions():
     assert h.cells_at((1, 1)) == []
 
 
+@pytest.mark.parametrize("width,height,fanouts", [
+    (11, 7, (2, 3)), (13, 10, (1, 2, 2)), (9, 9, (3, 3)), (5, 8, (2, 2, 2, 2))])
+def test_cells_at_matches_scan_of_every_level(width, height, fanouts):
+    # Clipped right and bottom cells keep their junction on the grid edge.
+    h = build_hierarchy(ones(width, height), HierarchyConfig(GridDims(width, height), fanouts))
+    for x in range(width):
+        for y in range(height):
+            scan = [c for cells in h.levels for c in cells if c.junction == (x, y)]
+            assert h.cells_at((x, y)) == scan
+
+
 def test_dump_format():
     vals = GridValues.from_rows([[1, 2], [3, 4]])
     h = build_hierarchy(vals, HierarchyConfig(GridDims(2, 2), (2,)))

@@ -281,7 +281,10 @@ def test_plan_cost_never_beaten_by_corner_method(rng):
     (32, 32, (4, 2, 2, 2), 1, [((12, 11), (20, 18))], 12),
     (16, 16, (2, 2, 2, 2), 37, [((2, 2), (4, 4)), ((5, 5), (7, 7))], 12),
     (6, 2, (2, 2, 2), 38, [((4, 0), (5, 1))], 1),
-], ids=["rectangle-32", "pinch-16", "clipped-6x2"])
+    # Whole grid minus node (21,13): one partial cell with a 10x10 block grid.
+    (40, 40, (4, 10), 39, [((0, 0), (39, 12)), ((0, 13), (20, 13)),
+                           ((22, 13), (39, 13)), ((0, 14), (39, 39))], 10),
+], ids=["rectangle-32", "pinch-16", "clipped-6x2", "hole-40"])
 def test_plan_regression_regions(w, h, fanouts, seed, rects, cost):
     vals, ps = random_cube(w, h, fanouts, seed)
     region = region_from_rectangles(rects, GridDims(w, h))
