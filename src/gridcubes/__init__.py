@@ -19,9 +19,8 @@ from .grid import (CornerClassification, CornerKind, GridDims, GridValues, Rect,
                    region_from_rectangles)
 from .hierarchy import (Cell, Color, CubeHierarchy, HierarchyConfig,
                         HierarchyTree, build_hierarchy, cell_of, color_tree)
-from .prefix import (PrefixSumCube, PSDataPoint, RecoloredSets, build_ps_cube,
-                     corner_weights, ps_query_plan, recolor_sets,
-                     rectangle_sum, rectilinear_sum)
+from .prefix import (PrefixSumCube, PSDataPoint, build_ps_cube, corner_weights,
+                     ps_query_plan, rectangle_sum, rectilinear_sum)
 from .protocol import (NodeState, Packet, SimStats, junction_level, node_slot,
                        node_step, run_construction)
 from .recovery import (FailureSet, Reconstruction, RecoveryKind, RecoveryResult,
@@ -39,9 +38,8 @@ __all__ = [
     "region_from_rectangles",
     "Cell", "Color", "CubeHierarchy", "HierarchyConfig", "HierarchyTree",
     "build_hierarchy", "cell_of", "color_tree",
-    "PrefixSumCube", "PSDataPoint", "RecoloredSets", "build_ps_cube",
-    "corner_weights", "ps_query_plan", "recolor_sets", "rectangle_sum",
-    "rectilinear_sum",
+    "PrefixSumCube", "PSDataPoint", "build_ps_cube", "corner_weights",
+    "ps_query_plan", "rectangle_sum", "rectilinear_sum",
     "NodeState", "Packet", "SimStats", "junction_level", "node_slot",
     "node_step", "run_construction",
     "FailureSet", "Reconstruction", "RecoveryKind", "RecoveryResult",

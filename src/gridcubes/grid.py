@@ -4,6 +4,11 @@ Coordinates are (x, y) pairs with (0, 0) at the top-left corner, x growing
 rightwards (columns) and y growing downwards (rows). Corner points of regions
 live on the lattice of cell boundaries, so a w*h grid has (w+1)*(h+1) lattice
 points.
+
+A region is a boolean mask over its bounding rectangle plus a summed-area
+table of that mask, so counting its locations inside any rectangle, its
+size, its bounds and its sum over the readings are lookups or one masked
+sum; the explicit set of locations is built only when asked for.
 """
 
 from __future__ import annotations
@@ -131,65 +136,129 @@ class GridValues:
         return self.array[rect.y0:rect.y1 + 1, rect.x0:rect.x1 + 1].sum().item()
 
     def region_sum(self, region: "RectilinearRegion"):
-        return sum(self.array[y, x].item() for (x, y) in region.cells)
+        if not region.within(self.dims):
+            raise BoundsError("region extends outside the grid")
+        h, w = region.mask.shape
+        return self.array[region.y0:region.y0 + h, region.x0:region.x0 + w][region.mask].sum().item()
 
 
-@dataclass(frozen=True)
 class RectilinearRegion:
-    """A query region stored as an explicit set of grid cells."""
+    """A set of grid locations, held as a boolean mask over its bounding
+    rectangle plus a summed-area table of that mask.
 
-    cells: frozenset[Coord]
+    The table gives the number of locations inside any rectangle from four
+    lookups (Crow, "Summed-area tables for texture mapping", SIGGRAPH 1984).
+    `RectilinearRegion(cells)` converts an explicit set of (x, y) locations
+    once; `cells` gives the set back, built on first use. Equality and hash
+    follow the locations, however the region was built.
+    """
+
+    __slots__ = ("x0", "y0", "mask", "_sat", "_cells", "_hash")
+
+    def __init__(self, cells: Iterable[Coord] = frozenset()):
+        cells = frozenset(cells)
+        if cells:
+            xs, ys = np.array(list(cells), dtype=np.int64).T
+            x0, y0 = int(xs.min()), int(ys.min())
+            mask = np.zeros((int(ys.max()) - y0 + 1, int(xs.max()) - x0 + 1), dtype=bool)
+            mask[ys - y0, xs - x0] = True
+        else:
+            x0 = y0 = 0
+            mask = np.zeros((0, 0), dtype=bool)
+        self._init(x0, y0, mask)
+        self._cells = cells
+
+    @classmethod
+    def from_mask(cls, x0: int, y0: int, mask: np.ndarray) -> "RectilinearRegion":
+        """The True entries of `mask`, whose entry [0, 0] is location (x0, y0)."""
+        mask = np.asarray(mask, dtype=bool)
+        rows = np.flatnonzero(mask.any(axis=1))
+        cols = np.flatnonzero(mask.any(axis=0))
+        if rows.size:
+            x0, y0 = x0 + int(cols[0]), y0 + int(rows[0])
+            mask = mask[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+        else:
+            x0 = y0 = 0
+            mask = np.zeros((0, 0), dtype=bool)
+        region = cls.__new__(cls)
+        region._init(x0, y0, mask)
+        region._cells = None
+        return region
+
+    def _init(self, x0: int, y0: int, mask: np.ndarray) -> None:
+        mask = mask.copy() if mask.flags.writeable else mask
+        mask.setflags(write=False)
+        sat = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
+        np.cumsum(mask, axis=0, out=sat[1:, 1:])
+        np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
+        self.x0, self.y0, self.mask, self._sat = x0, y0, mask, sat
+        self._hash = None
 
     @classmethod
     def from_cells(cls, cells: Iterable[Coord]) -> "RectilinearRegion":
-        return cls(frozenset(cells))
+        return cls(cells)
 
     @classmethod
     def empty(cls) -> "RectilinearRegion":
-        return cls(frozenset())
+        return cls()
+
+    @property
+    def cells(self) -> frozenset[Coord]:
+        """The locations as an explicit set, built on first use."""
+        if self._cells is None:
+            self._cells = self._build_cells()
+        return self._cells
+
+    def _build_cells(self) -> frozenset[Coord]:
+        ys, xs = np.nonzero(self.mask)
+        return frozenset(zip((xs + self.x0).tolist(), (ys + self.y0).tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RectilinearRegion):
+            return NotImplemented
+        return (self.x0, self.y0) == (other.x0, other.y0) and np.array_equal(self.mask, other.mask)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.x0, self.y0, self.mask.shape, self.mask.tobytes()))
+        return self._hash
+
+    def __repr__(self) -> str:
+        if not self:
+            return "RectilinearRegion(empty)"
+        return f"RectilinearRegion({len(self)} locations in {self.bounding_rect()})"
 
     def __bool__(self) -> bool:
-        return bool(self.cells)
+        return self.mask.size > 0
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return int(self._sat[-1, -1])
+
+    def count_in(self, rect: Rect) -> int:
+        """Number of the region's locations inside `rect`, by four lookups."""
+        h, w = self.mask.shape
+        x0, y0 = max(rect.x0 - self.x0, 0), max(rect.y0 - self.y0, 0)
+        x1, y1 = min(rect.x1 + 1 - self.x0, w), min(rect.y1 + 1 - self.y0, h)
+        if x0 >= x1 or y0 >= y1:
+            return 0
+        sat = self._sat
+        return int(sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0])
 
     def contains(self, p: Coord) -> bool:
-        return p in self.cells
-
-    def union(self, other: "RectilinearRegion") -> "RectilinearRegion":
-        return RectilinearRegion(self.cells | other.cells)
-
-    def difference(self, other: "RectilinearRegion") -> "RectilinearRegion":
-        return RectilinearRegion(self.cells - other.cells)
+        x, y = p[0] - self.x0, p[1] - self.y0
+        h, w = self.mask.shape
+        return 0 <= x < w and 0 <= y < h and bool(self.mask[y, x])
 
     def within(self, dims: GridDims) -> bool:
-        return all(dims.contains(p) for p in self.cells)
+        h, w = self.mask.shape
+        return not self or (self.x0 >= 0 and self.y0 >= 0
+                            and self.x0 + w <= dims.width and self.y0 + h <= dims.height)
 
     def bounding_rect(self) -> Rect:
-        if not self.cells:
+        if not self:
             raise ValidationError("empty region has no bounding rectangle")
-        xs = [x for x, _ in self.cells]
-        ys = [y for _, y in self.cells]
-        return Rect(min(xs), min(ys), max(xs), max(ys))
-
-    def row_rectangles(self) -> list[Rect]:
-        """Decompose into maximal horizontal runs, one Rect per run."""
-        rects = []
-        by_row: dict[int, list[int]] = {}
-        for x, y in self.cells:
-            by_row.setdefault(y, []).append(x)
-        for y in sorted(by_row):
-            xs = sorted(by_row[y])
-            start = prev = xs[0]
-            for x in xs[1:]:
-                if x == prev + 1:
-                    prev = x
-                    continue
-                rects.append(Rect(start, y, prev, y))
-                start = prev = x
-            rects.append(Rect(start, y, prev, y))
-        return rects
+        h, w = self.mask.shape
+        return Rect(self.x0, self.y0, self.x0 + w - 1, self.y0 + h - 1)
 
 
 def region_from_rectangles(rects: Iterable[tuple[Coord, Coord]],
@@ -199,13 +268,20 @@ def region_from_rectangles(rects: Iterable[tuple[Coord, Coord]],
     Raises ValidationError for inverted corner pairs and BoundsError when a
     rectangle falls outside `dims` (if given).
     """
-    cells: set[Coord] = set()
+    boxes = []
     for (x0, y0), (x1, y1) in rects:
         r = Rect(x0, y0, x1, y1)
         if dims is not None and not (dims.contains((r.x0, r.y0)) and dims.contains((r.x1, r.y1))):
             raise BoundsError(f"rectangle {r} outside grid {dims}")
-        cells.update(r.coords())
-    return RectilinearRegion(frozenset(cells))
+        boxes.append(r)
+    if not boxes:
+        return RectilinearRegion.empty()
+    x0, y0 = min(r.x0 for r in boxes), min(r.y0 for r in boxes)
+    mask = np.zeros((max(r.y1 for r in boxes) + 1 - y0, max(r.x1 for r in boxes) + 1 - x0),
+                    dtype=bool)
+    for r in boxes:
+        mask[r.y0 - y0:r.y1 + 1 - y0, r.x0 - x0:r.x1 + 1 - x0] = True
+    return RectilinearRegion.from_mask(x0, y0, mask)
 
 
 class CornerKind(Enum):
@@ -219,14 +295,16 @@ class CornerClassification:
     kind: CornerKind
 
 
-def incident_inside_count(region: RectilinearRegion, lattice: Coord) -> int:
-    """How many of the 4 unit cells around a lattice point are in the region."""
-    lx, ly = lattice
-    count = 0
-    for cx, cy in ((lx - 1, ly - 1), (lx, ly - 1), (lx - 1, ly), (lx, ly)):
-        if (cx, cy) in region.cells:
-            count += 1
-    return count
+def lattice_quads(mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Indicators of the four cells around every lattice point of a mask.
+
+    Returns (nw, ne, sw, se) int8 arrays of shape (h + 1, w + 1). Entry
+    [j, i] is the lattice point at the upper-left corner of mask entry
+    [j, i]; the extra last row and column are the lower and right edges.
+    """
+    padded = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=np.int8)
+    padded[1:-1, 1:-1] = mask
+    return padded[:-1, :-1], padded[:-1, 1:], padded[1:, :-1], padded[1:, 1:]
 
 
 def classify_corners(region: RectilinearRegion) -> list[CornerClassification]:
@@ -236,17 +314,12 @@ def classify_corners(region: RectilinearRegion) -> list[CornerClassification]:
     exactly 3 is concave; 2 incident inside cells is an edge or a degenerate
     crossing, not a corner. Returns corners sorted by (y, x).
     """
-    candidates: set[Coord] = set()
-    for x, y in region.cells:
-        candidates.update(((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)))
-    out = []
-    for p in sorted(candidates, key=lambda c: (c[1], c[0])):
-        n = incident_inside_count(region, p)
-        if n == 1:
-            out.append(CornerClassification(p, CornerKind.CONVEX))
-        elif n == 3:
-            out.append(CornerClassification(p, CornerKind.CONCAVE))
-    return out
+    nw, ne, sw, se = lattice_quads(region.mask)
+    incident = nw + ne + sw + se
+    ys, xs = np.nonzero((incident == 1) | (incident == 3))
+    return [CornerClassification((x + region.x0, y + region.y0),
+                                 CornerKind.CONVEX if incident[y, x] == 1 else CornerKind.CONCAVE)
+            for y, x in zip(ys.tolist(), xs.tolist())]
 
 
 def corner_counts(region: RectilinearRegion) -> tuple[int, int]:

@@ -6,6 +6,11 @@ fanouts do not divide the grid dimensions, which keeps every level an exact
 tiling. Each cell's summary is stored at its junction, the lower-right corner
 of its bounds. Individual grid locations act as degenerate level-0 cells.
 
+The summaries of one level form one array in block layout, built from the
+level below by a zero-pad, a reshape and a sum; Cell objects are made only
+when a caller asks for them. Coloring a cell against a region takes four
+lookups in the region's summed-area table.
+
 Everything here is immutable after construction and safe to share across
 threads.
 """
@@ -16,6 +21,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
+
+import numpy as np
 
 from .errors import BoundsError, ConfigError
 from .grid import Coord, GridDims, GridValues, Rect, RectilinearRegion
@@ -84,14 +91,21 @@ def cell_of(config: HierarchyConfig, level: int, p: Coord) -> Cell:
 
 
 class CubeHierarchy:
-    """Built cube: per-level cells plus the summary value of each cell."""
+    """Built cube: one summary array per level, cells made on demand.
+
+    `level_array(k)[j, i]` is the summary of the level-k cell in block row j
+    and block column i; the arrays keep the dtype of the readings. `levels`,
+    `cells_of` and `summaries` build Cell objects only when asked for.
+    """
 
     def __init__(self, values: GridValues, config: HierarchyConfig,
-                 levels: tuple[tuple[Cell, ...], ...], summaries: dict[Cell, int]):
+                 arrays: tuple[np.ndarray, ...]):
         self.values = values
         self.config = config
-        self.levels = levels  # levels[k-1] holds level-k cells
-        self.summaries = summaries
+        self._arrays = arrays
+        self._sides = tuple(config.side(k) for k in range(config.height + 1))
+        self._cells: dict[int, tuple[Cell, ...]] = {}
+        self._summaries: dict[Cell, int] | None = None
 
     @property
     def height(self) -> int:
@@ -101,12 +115,30 @@ class CubeHierarchy:
     def dims(self) -> GridDims:
         return self.config.dims
 
+    def level_array(self, level: int) -> np.ndarray:
+        """Summaries of the level-k cells in block layout (level 0: readings)."""
+        return self.values.array if level == 0 else self._arrays[level - 1]
+
     def cells_of(self, level: int) -> tuple[Cell, ...]:
-        return self.levels[level - 1]
+        if level not in self._cells:
+            self._cells[level] = tuple(_cells_for_level(self.config, level))
+        return self._cells[level]
+
+    @property
+    def levels(self) -> tuple[tuple[Cell, ...], ...]:
+        """levels[k-1] holds the level-k cells in row-major order."""
+        return tuple(self.cells_of(k) for k in range(1, self.height + 1))
+
+    @property
+    def summaries(self) -> dict[Cell, int]:
+        """Every cell above level 0 mapped to its summary."""
+        if self._summaries is None:
+            self._summaries = {c: self.value(c) for cells in self.levels for c in cells}
+        return self._summaries
 
     @property
     def top_cells(self) -> tuple[Cell, ...]:
-        return self.levels[-1]
+        return self.cells_of(self.height)
 
     def cell_at(self, level: int, p: Coord) -> Cell:
         """The level-k cell containing grid location p."""
@@ -118,7 +150,7 @@ class CubeHierarchy:
             return []
         if cell.level == 1:
             return [Cell(0, Rect(x, y, x, y)) for (x, y) in cell.bounds.coords()]
-        side = self.config.side(cell.level - 1)
+        side = self._sides[cell.level - 1]
         b = cell.bounds
         out = []
         for y0 in range(b.y0, b.y1 + 1, side):
@@ -130,7 +162,8 @@ class CubeHierarchy:
     def value(self, cell: Cell) -> int:
         if cell.level == 0:
             return self.values.at((cell.bounds.x0, cell.bounds.y0))
-        return self.summaries[cell]
+        side = self._sides[cell.level]
+        return self._arrays[cell.level - 1][cell.bounds.y0 // side, cell.bounds.x0 // side].item()
 
     def cells_at(self, p: Coord) -> list[Cell]:
         """All cells whose junction is p, ordered by level ascending."""
@@ -142,7 +175,7 @@ class CubeHierarchy:
         for level in range(1, self.height + 1):
             # A level-k junction ends a side-long run or the grid; it then
             # ends one at every lower level too.
-            side = self.config.side(level)
+            side = self._sides[level]
             ends_x = (x + 1) % side == 0 or x == last_x
             ends_y = (y + 1) % side == 0 or y == last_y
             if not (ends_x and ends_y):
@@ -162,14 +195,20 @@ class CubeHierarchy:
 
 
 def build_hierarchy(values: GridValues, config: HierarchyConfig) -> CubeHierarchy:
+    """Each level's array is the previous one zero-padded to a multiple of
+    the fanout, reshaped into fanout x fanout blocks and summed."""
     if config.dims != values.dims:
         raise ConfigError(f"config dims {config.dims} do not match values dims {values.dims}")
-    levels = tuple(tuple(_cells_for_level(config, k)) for k in range(1, config.height + 1))
-    summaries = {}
-    for level_cells in levels:
-        for c in level_cells:
-            summaries[c] = values.rect_sum(c.bounds)
-    return CubeHierarchy(values, config, levels, summaries)
+    arrays = []
+    arr = values.array
+    for f in config.fanouts:
+        rows, cols = arr.shape
+        arr = np.pad(arr, ((0, -rows % f), (0, -cols % f)))
+        arr = arr.reshape(arr.shape[0] // f, f, arr.shape[1] // f, f).sum(
+            axis=(1, 3), dtype=values.array.dtype)
+        arr.setflags(write=False)
+        arrays.append(arr)
+    return CubeHierarchy(values, config, tuple(arrays))
 
 
 class Color(Enum):
@@ -214,7 +253,7 @@ class HierarchyTree:
 
 
 def _cell_color(cell: Cell, region: RectilinearRegion) -> Color:
-    inside = sum(1 for p in cell.bounds.coords() if p in region.cells)
+    inside = region.count_in(cell.bounds)
     if inside == 0:
         return Color.WHITE
     if inside == cell.area:

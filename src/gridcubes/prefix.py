@@ -29,13 +29,13 @@ by its own piece and those answered by their own bottom-right entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import BoundsError, ValidationError
 from .flow import QueryPlan
-from .grid import Coord, GridValues, Rect, RectilinearRegion
+from .grid import Coord, GridValues, Rect, RectilinearRegion, lattice_quads
 from .hierarchy import (Cell, Color, CubeHierarchy, HierarchyConfig, TreeNode,
                         build_hierarchy, color_tree)
 
@@ -97,22 +97,16 @@ class PrefixSumCube:
 
 
 def build_ps_cube(values: GridValues, config: HierarchyConfig) -> PrefixSumCube:
+    """Each cell's table is the 2-D prefix of its slice of the child level's
+    summary array (the readings for level 1)."""
     h = build_hierarchy(values, config)
     tables: dict[Cell, np.ndarray] = {}
     for level in range(1, config.height + 1):
+        children = h.level_array(level - 1)
+        side = config.side(level - 1)
         for cell in h.cells_of(level):
             b = cell.bounds
-            if level == 1:
-                base = values.array[b.y0:b.y1 + 1, b.x0:b.x1 + 1]
-            else:
-                side = config.side(level - 1)
-                cols = (b.width + side - 1) // side
-                rows = (b.height + side - 1) // side
-                base = np.empty((rows, cols), dtype=values.array.dtype)
-                for cj in range(rows):
-                    for ci in range(cols):
-                        child = h.cell_at(level - 1, (b.x0 + ci * side, b.y0 + cj * side))
-                        base[cj, ci] = h.value(child)
+            base = children[b.y0 // side:b.y1 // side + 1, b.x0 // side:b.x1 // side + 1]
             tables[cell] = base.cumsum(axis=0).cumsum(axis=1)
     return PrefixSumCube(h, tables)
 
@@ -150,24 +144,26 @@ def rectangle_sum(ps: PrefixSumCube, cell: Cell, rect: Rect):
     return total, used
 
 
-def corner_weights(cells: frozenset[Coord]) -> dict[Coord, int]:
-    """Signed corner-expansion weights of a cell set, keyed by lattice point.
+def corner_weights(cells: RectilinearRegion | Iterable[Coord]) -> dict[Coord, int]:
+    """Signed corner-expansion weights of a region or cell set, keyed by
+    lattice point.
 
     The weight at lattice (lx, ly) is the mixed difference of the region's
     indicator over the four incident cells; it is nonzero exactly at corners
     (+-1, or +-2 at degenerate diagonal crossings) and the region sum equals
     the weighted sum of dominated-rectangle prefixes.
     """
-    weights: dict[Coord, int] = {}
-    lattice: set[Coord] = set()
-    for x, y in cells:
-        lattice.update(((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)))
-    for lx, ly in lattice:
-        w = ((((lx - 1, ly - 1) in cells) - ((lx, ly - 1) in cells))
-             - (((lx - 1, ly) in cells) - ((lx, ly) in cells)))
-        if w:
-            weights[(lx, ly)] = w
-    return weights
+    region = cells if isinstance(cells, RectilinearRegion) else RectilinearRegion(cells)
+    return _mask_weights(region.x0, region.y0, region.mask)
+
+
+def _mask_weights(x0: int, y0: int, mask: np.ndarray) -> dict[Coord, int]:
+    """corner_weights of the True entries of `mask`, entry [0, 0] at (x0, y0)."""
+    nw, ne, sw, se = lattice_quads(mask)
+    weights = nw - ne - sw + se
+    ys, xs = np.nonzero(weights)
+    return {(x + x0, y + y0): w for y, x, w in zip(ys.tolist(), xs.tolist(),
+                                                 weights[ys, xs].tolist())}
 
 
 def _fits_in_cell(ps: PrefixSumCube, region_cells: frozenset[Coord], level: int) -> Cell | None:
@@ -196,9 +192,10 @@ def _block_region(ps: PrefixSumCube, cell: Cell, region_cells: frozenset[Coord])
     return frozenset(blocks)
 
 
-def _emit_scope(ps: PrefixSumCube, cell: Cell, units: frozenset[Coord]):
+def _emit_scope(ps: PrefixSumCube, cell: Cell, weights: dict[Coord, int]):
+    """Signed entries of a cell's table for corner weights in its block grid."""
     out = []
-    for (lx, ly), w in sorted(corner_weights(units).items(), key=lambda kv: (kv[0][1], kv[0][0])):
+    for (lx, ly), w in sorted(weights.items(), key=lambda kv: (kv[0][1], kv[0][0])):
         ci, cj = lx - 1, ly - 1
         if ci < 0 or cj < 0:
             continue  # implicit zero row/column
@@ -218,12 +215,12 @@ def _fragment_pieces(ps: PrefixSumCube, region_cells: frozenset[Coord]):
         if level == 1:
             b = cell.bounds
             units = frozenset((x - b.x0, y - b.y0) for x, y in region_cells)
-            return [(cell, region_cells, _emit_scope(ps, cell, units))]
+            return [(cell, region_cells, _emit_scope(ps, cell, corner_weights(units)))]
         units = _block_region(ps, cell, region_cells)
         if units is None:
             split_level = level - 1  # fits but misaligned: refine granularity
             break
-        return [(cell, region_cells, _emit_scope(ps, cell, units))]
+        return [(cell, region_cells, _emit_scope(ps, cell, corner_weights(units)))]
     if split_level is None:
         split_level = ps.config.height  # spans several top-level cells
     pieces: dict[Cell, set[Coord]] = {}
@@ -256,66 +253,6 @@ def rectilinear_sum(ps: PrefixSumCube, region: RectilinearRegion):
     points = _expand_fragment(ps, region.cells)
     value = sum(w * ps.entry(p) for p, w in points)
     return value, points
-
-
-@dataclass(frozen=True)
-class PlanCandidate:
-    """Signed entries whose sum is exactly the total over `effective`.
-
-    RecoloredSets uses it for a re-colored straddling point bundled with the
-    white points that cancel its out-of-region part.
-    """
-
-    terms: tuple[tuple[PSDataPoint, int], ...]
-    cost: int
-    effective: frozenset[Coord]
-
-
-def _point_cells(point: PSDataPoint) -> frozenset[Coord]:
-    return frozenset(point.covered.coords())
-
-
-@dataclass(frozen=True)
-class RecoloredSets:
-    """Classification of all entries against one query region.
-
-    grey entries lie fully inside, white ones are disjoint, straddling ones
-    overlap both sides. Each re-colored candidate pairs a straddling entry
-    with the white entries whose subtraction confines it to the region; its
-    cost is one plus the number of whites involved.
-    """
-
-    grey: tuple[PSDataPoint, ...]
-    white: tuple[PSDataPoint, ...]
-    straddling: tuple[PSDataPoint, ...]
-    recolored: tuple[PlanCandidate, ...]
-
-
-def recolor_sets(ps: PrefixSumCube, region: RectilinearRegion) -> RecoloredSets:
-    grey: list[PSDataPoint] = []
-    white: list[PSDataPoint] = []
-    straddling: list[PSDataPoint] = []
-    for p in ps.points():
-        cells = _point_cells(p)
-        if cells <= region.cells:
-            grey.append(p)
-        elif not (cells & region.cells):
-            white.append(p)
-        else:
-            straddling.append(p)
-    white_set = set(white)
-    recolored: list[PlanCandidate] = []
-    for p in straddling:
-        cells = _point_cells(p)
-        out = cells - region.cells
-        expansion = _expand_fragment(ps, frozenset(out))
-        usable = all(abs(w) == 1 and wp in white_set and wp.cell == p.cell
-                     for wp, w in expansion)
-        if not usable or not expansion:
-            continue
-        terms = ((p, +1),) + tuple((wp, -w) for wp, w in expansion)
-        recolored.append(PlanCandidate(terms, len(terms), cells & region.cells))
-    return RecoloredSets(tuple(grey), tuple(white), tuple(straddling), tuple(recolored))
 
 
 def _row_weights(prev: int, cur: int, cols: int) -> int:
@@ -397,12 +334,11 @@ def _node_terms(ps: PrefixSumCube, node: TreeNode) -> list[tuple[PSDataPoint, in
         chosen = grey_rows  # grid locations have no table; no grey, no choice
     else:
         chosen = _choose_blocks(grey_rows, cols)
-    units = frozenset((ci, cj) for cj, mask in enumerate(chosen)
-                      for ci in range(cols) if mask >> ci & 1)
-    terms = _emit_scope(ps, cell, units)
+    units = np.array([[mask >> ci & 1 for ci in range(cols)] for mask in chosen], dtype=bool)
+    terms = _emit_scope(ps, cell, _mask_weights(0, 0, units))
     for child in node.children:
         c = child.cell.bounds
-        if ((c.x0 - b.x0) // side, (c.y0 - b.y0) // side) not in units:
+        if not units[(c.y0 - b.y0) // side, (c.x0 - b.x0) // side]:
             terms.extend(_node_terms(ps, child))
     return terms
 

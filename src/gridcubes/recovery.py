@@ -345,19 +345,18 @@ def _cell_readable(h: CubeHierarchy, cell: Cell, area: frozenset[Coord]) -> int 
         return None
     parent = cell_of(config, cell.level + 1, cell.junction)
     junction, cols, rows = _child_layout(config, parent, cell.level)
-    p = (cell.bounds.x0 - parent.bounds.x0) // config.side(cell.level)
-    q = (cell.bounds.y0 - parent.bounds.y0) // config.side(cell.level)
-
-    def child_value(i, j):
-        return h.value(h.cell_at(cell.level, junction(i, j)))
+    side = config.side(cell.level)
+    p = (cell.bounds.x0 - parent.bounds.x0) // side
+    q = (cell.bounds.y0 - parent.bounds.y0) // side
+    i0, j0 = parent.bounds.x0 // side, parent.bounds.y0 // side
+    kids = h.level_array(cell.level)[j0:j0 + rows, i0:i0 + cols]
+    prefix = kids.cumsum(axis=0).cumsum(axis=1)
 
     def b_of(i, j):
-        if junction(i, j) in area:
-            return None
-        return sum(child_value(a, b) for a in range(i + 1) for b in range(j + 1))
+        return None if junction(i, j) in area else prefix[j, i].item()
 
     def child_of(i, j):
-        return None if junction(i, j) in area else child_value(i, j)
+        return None if junction(i, j) in area else kids[j, i].item()
 
     value, used = _linear_block_solve(b_of, child_of, cols, rows, (p, q))
     extra = 0

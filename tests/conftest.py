@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from gridcubes.grid import GridValues, RectilinearRegion
+from gridcubes.grid import GridDims, GridValues, Rect, RectilinearRegion
 from gridcubes.hierarchy import CubeHierarchy, cell_of
 
 
@@ -36,6 +36,24 @@ def random_region(rng: random.Random, width: int, height: int,
         y1 = min(height - 1, y0 + rng.randrange(span))
         cells.update((x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1))
     return RectilinearRegion(frozenset(cells))
+
+
+def row_rectangles(region: RectilinearRegion) -> list[Rect]:
+    """Maximal horizontal runs of the region, one Rect per run, by row."""
+    by_row: dict[int, list[int]] = {}
+    for x, y in region.cells:
+        by_row.setdefault(y, []).append(x)
+    rects = []
+    for y in sorted(by_row):
+        xs = sorted(by_row[y])
+        start = prev = xs[0]
+        for x in xs[1:]:
+            if x != prev + 1:
+                rects.append(Rect(start, y, prev, y))
+                start = x
+            prev = x
+        rects.append(Rect(start, y, prev, y))
+    return rects
 
 
 def scan_corners(region: RectilinearRegion, width: int, height: int):
@@ -99,6 +117,38 @@ def has_pinch(region: RectilinearRegion) -> bool:
 
 def naive_region_sum(values: GridValues, region: RectilinearRegion) -> int:
     return sum(values.at(p) for p in region.cells)
+
+
+# Set-based references for the array-backed region: each reads only the
+# explicit location set.
+
+def set_within(cells: frozenset, dims: GridDims) -> bool:
+    return all(dims.contains(p) for p in cells)
+
+
+def set_bounding_rect(cells: frozenset) -> Rect:
+    xs = [x for x, _ in cells]
+    ys = [y for _, y in cells]
+    return Rect(min(xs), min(ys), max(xs), max(ys))
+
+
+def set_count_in(cells: frozenset, rect: Rect) -> int:
+    return sum(1 for p in cells if rect.contains_point(p))
+
+
+def set_corner_weights(cells: frozenset) -> dict:
+    """Mixed difference of the indicator over the four cells around each
+    lattice point touching the set, keeping the nonzero ones."""
+    weights = {}
+    lattice = set()
+    for x, y in cells:
+        lattice.update(((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)))
+    for lx, ly in lattice:
+        w = (((lx - 1, ly - 1) in cells) - ((lx, ly - 1) in cells)
+             - ((lx - 1, ly) in cells) + ((lx, ly) in cells))
+        if w:
+            weights[(lx, ly)] = w
+    return weights
 
 
 def min_cover_oracle(h: CubeHierarchy, region: RectilinearRegion, greedy_bound: int) -> int:

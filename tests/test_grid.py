@@ -5,9 +5,11 @@ from gridcubes.errors import BoundsError, ValidationError
 from gridcubes.grid import (CornerKind, GridDims, GridValues, Rect,
                             RectilinearRegion, classify_corners, corner_counts,
                             region_from_rectangles)
+from gridcubes.prefix import corner_weights
 
-from conftest import (component_count, has_hole, has_pinch, random_region,
-                      scan_corners)
+from conftest import (component_count, has_hole, has_pinch, naive_region_sum,
+                      random_region, row_rectangles, scan_corners, set_bounding_rect,
+                      set_corner_weights, set_count_in, set_within)
 
 DIMS = GridDims(10, 8)
 
@@ -88,7 +90,7 @@ def test_corner_parity_for_clean_regions(rng):
 def test_row_decomposition_roundtrip(rng):
     for _ in range(50):
         region = random_region(rng, DIMS.width, DIMS.height)
-        rects = [((r.x0, r.y0), (r.x1, r.y1)) for r in region.row_rectangles()]
+        rects = [((r.x0, r.y0), (r.x1, r.y1)) for r in row_rectangles(region)]
         assert region_from_rectangles(rects, DIMS).cells == region.cells
 
 
@@ -121,3 +123,60 @@ def test_values_are_read_only():
     vals = GridValues.from_rows([[1, 2], [3, 4]])
     with pytest.raises(ValueError):
         vals.array[0, 0] = 9
+
+
+def shifted_region(rng, width, height, dx, dy):
+    region = random_region(rng, width, height)
+    return RectilinearRegion(frozenset((x + dx, y + dy) for x, y in region.cells))
+
+
+def test_region_built_from_cells_equals_one_from_rectangles(rng):
+    for _ in range(100):
+        region = random_region(rng, DIMS.width, DIMS.height)
+        rects = [((r.x0, r.y0), (r.x1, r.y1)) for r in row_rectangles(region)]
+        from_rects = region_from_rectangles(rects, DIMS)
+        assert from_rects == region and hash(from_rects) == hash(region)
+        assert from_rects.cells == region.cells
+        rebuilt = RectilinearRegion(from_rects.cells)
+        assert rebuilt == from_rects and hash(rebuilt) == hash(from_rects)
+        padded = RectilinearRegion.from_mask(region.x0 - 2, region.y0 - 3,
+                                             np.pad(region.mask, ((3, 1), (2, 4))))
+        assert padded == region and hash(padded) == hash(region)
+    other = region_from_rectangles([((0, 0), (1, 0))], DIMS)
+    assert other != region_from_rectangles([((0, 0), (0, 1))], DIMS)
+    assert RectilinearRegion.empty() == region_from_rectangles([], DIMS)
+    assert hash(RectilinearRegion.empty()) == hash(RectilinearRegion(frozenset()))
+
+
+def test_region_queries_match_set_references(rng):
+    # Shifts put some regions partly or wholly off the grid.
+    for _ in range(200):
+        region = shifted_region(rng, 12, 10, rng.randint(-4, 3), rng.randint(-4, 3))
+        cells = frozenset(region.cells)
+        assert len(region) == len(cells)
+        assert region.within(DIMS) == set_within(cells, DIMS)
+        assert region.bounding_rect() == set_bounding_rect(cells)
+        assert corner_weights(region) == set_corner_weights(cells)
+        assert corner_weights(cells) == set_corner_weights(cells)
+        for _ in range(10):
+            x0, y0 = rng.randint(-6, 14), rng.randint(-6, 12)
+            rect = Rect(x0, y0, x0 + rng.randrange(8), y0 + rng.randrange(8))
+            assert region.count_in(rect) == set_count_in(cells, rect)
+        for p in ((-1, 0), (0, 0), (5, 5), (11, 9), (12, 3)):
+            assert region.contains(p) == (p in cells)
+        if region.within(DIMS):
+            vals = GridValues.random(DIMS, seed=len(cells))
+            assert vals.region_sum(region) == naive_region_sum(vals, region)
+        else:
+            with pytest.raises(BoundsError):
+                GridValues.random(DIMS, seed=0).region_sum(region)
+
+
+def test_empty_region_queries():
+    empty = RectilinearRegion.empty()
+    assert len(empty) == 0 and not empty and empty.within(DIMS)
+    assert empty.count_in(Rect(0, 0, 9, 7)) == 0 and not empty.contains((0, 0))
+    assert empty.cells == frozenset() and corner_weights(empty) == {}
+    assert GridValues.random(DIMS, seed=1).region_sum(empty) == 0
+    with pytest.raises(ValidationError):
+        empty.bounding_rect()

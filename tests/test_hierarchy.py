@@ -1,8 +1,11 @@
+import math
+
+import numpy as np
 import pytest
 
 from gridcubes.errors import ConfigError
-from gridcubes.grid import GridDims, GridValues, RectilinearRegion, region_from_rectangles
-from gridcubes.hierarchy import Color, HierarchyConfig, build_hierarchy, color_tree
+from gridcubes.grid import GridDims, GridValues, Rect, RectilinearRegion, region_from_rectangles
+from gridcubes.hierarchy import Cell, Color, HierarchyConfig, build_hierarchy, color_tree
 
 from conftest import naive_region_sum, random_region
 
@@ -133,22 +136,79 @@ def test_coloring_whole_grid_and_empty():
     assert empty.root.color is Color.WHITE and empty.root.children == ()
 
 
+# Grids whose right and bottom cells are clipped at every level.
+CLIPPED = [(11, 7, (2, 3)), (13, 10, (1, 2, 2)), (5, 8, (2, 2, 2, 2))]
+
+
 def test_coloring_matches_bruteforce(rng):
-    vals = GridValues.random(GridDims(8, 8), seed=5)
-    h = build_hierarchy(vals, HierarchyConfig(GridDims(8, 8), (2, 2)))
-    for _ in range(50):
-        region = random_region(rng, 8, 8)
-        tree = color_tree(h, region)
-        for node in tree.nodes():
-            if node.is_root:
-                continue
-            inside = sum(1 for p in node.cell.bounds.coords() if p in region.cells)
-            expected = (Color.WHITE if inside == 0
-                        else Color.GREY if inside == node.cell.area
-                        else Color.PARTIAL)
-            assert node.color is expected
-            if node.color is not Color.PARTIAL:
-                assert node.children == ()
+    for width, height, fanouts in [(8, 8, (2, 2))] + CLIPPED:
+        dims = GridDims(width, height)
+        vals = GridValues.random(dims, seed=5)
+        h = build_hierarchy(vals, HierarchyConfig(dims, fanouts))
+        for _ in range(50):
+            region = random_region(rng, width, height)
+            tree = color_tree(h, region)
+            for node in tree.nodes():
+                if node.is_root:
+                    continue
+                inside = sum(1 for p in node.cell.bounds.coords() if p in region.cells)
+                expected = (Color.WHITE if inside == 0
+                            else Color.GREY if inside == node.cell.area
+                            else Color.PARTIAL)
+                assert node.color is expected
+                if node.color is not Color.PARTIAL:
+                    assert node.children == ()
+
+
+def eager_levels(dims, fanouts):
+    """Every level's cells, row-major, clipped at the right and bottom edges."""
+    levels = []
+    for level in range(1, len(fanouts) + 1):
+        side = math.prod(fanouts[:level])
+        levels.append(tuple(
+            Cell(level, Rect(x0, y0, min(x0 + side, dims.width) - 1,
+                             min(y0 + side, dims.height) - 1))
+            for y0 in range(0, dims.height, side) for x0 in range(0, dims.width, side)))
+    return tuple(levels)
+
+
+@pytest.mark.parametrize("width,height,fanouts", CLIPPED)
+def test_level_arrays_equal_rect_sums(width, height, fanouts):
+    dims = GridDims(width, height)
+    vals = GridValues.random(dims, seed=width)
+    h = build_hierarchy(vals, HierarchyConfig(dims, fanouts))
+    for level, cells in enumerate(eager_levels(dims, fanouts), start=1):
+        side = h.config.side(level)
+        arr = h.level_array(level)
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        assert arr.shape == (-(-height // side), -(-width // side))
+        for c in cells:
+            expected = vals.rect_sum(c.bounds)
+            assert arr[c.bounds.y0 // side, c.bounds.x0 // side] == expected
+            assert h.value(c) == expected
+    assert h.level_array(0) is vals.array
+
+
+@pytest.mark.parametrize("width,height,fanouts", CLIPPED)
+def test_lazy_levels_and_summaries_equal_eager_build(width, height, fanouts):
+    dims = GridDims(width, height)
+    vals = GridValues.random(dims, seed=height)
+    h = build_hierarchy(vals, HierarchyConfig(dims, fanouts))
+    levels = eager_levels(dims, fanouts)
+    assert h.top_cells == levels[-1]
+    assert h.levels == levels
+    assert all(h.cells_of(k) == levels[k - 1] for k in range(1, len(fanouts) + 1))
+    assert h.summaries == {c: vals.rect_sum(c.bounds) for cells in levels for c in cells}
+
+
+def test_float_readings_keep_float64_level_arrays():
+    dims = GridDims(5, 3)
+    vals = GridValues.from_rows([[0.5, 1.25, 2.0, 0.125, 3.5]] * 3, dtype=float)
+    h = build_hierarchy(vals, HierarchyConfig(dims, (2, 2)))
+    assert all(h.level_array(k).dtype == np.float64 for k in (1, 2))
+    for cells in h.levels:
+        for c in cells:
+            assert h.value(c) == pytest.approx(vals.rect_sum(c.bounds))
 
 
 def test_grey_leaves_tile_region(rng):

@@ -5,10 +5,10 @@ from gridcubes.grid import (GridDims, GridValues, Rect, RectilinearRegion,
                             classify_corners, region_from_rectangles)
 from gridcubes.hierarchy import HierarchyConfig, build_hierarchy
 from gridcubes.prefix import (build_ps_cube, corner_weights, ps_query_plan,
-                              rectangle_sum, rectilinear_sum, recolor_sets)
+                              rectangle_sum, rectilinear_sum)
 
 from conftest import (has_pinch, naive_region_sum, ps_min_cost_oracle, ps_piece_candidates,
-                      random_region)
+                      random_region, row_rectangles)
 
 # 4x4 matrix whose prefix table shows 170 bottom-right with interior entries
 # 12, 36 and 65; the 3x3 region away from the anchored edges sums to 81.
@@ -172,7 +172,7 @@ def test_expansion_from_row_rectangles_cancels(rng):
         if has_pinch(region):
             continue
         acc: dict = {}
-        for r in region.row_rectangles():
+        for r in row_rectangles(region):
             for (lx, ly), w in ((( r.x1 + 1, r.y1 + 1), 1), ((r.x0, r.y0), 1),
                                 ((r.x1 + 1, r.y0), -1), ((r.x0, r.y1 + 1), -1)):
                 acc[(lx, ly)] = acc.get((lx, ly), 0) + w
@@ -228,23 +228,6 @@ def test_plan_cost_matches_exhaustive_oracle(rng):
             oracle = ps_min_cost_oracle(ps_piece_candidates(ps.hierarchy, region), region.cells)
             assert oracle is not None
             assert plan.size == oracle
-
-
-def test_recolored_sets_partition_and_cancel(rng):
-    vals, ps = random_cube(6, 6, (3, 2), seed=33)
-    for _ in range(20):
-        region = random_region(rng, 6, 6)
-        sets = recolor_sets(ps, region)
-        all_points = set(ps.points())
-        assert set(sets.grey) | set(sets.white) | set(sets.straddling) == all_points
-        for cand in sets.recolored:
-            # effective area confined to the region, whites cancel the rest
-            assert cand.effective <= region.cells
-            head, sign = cand.terms[0]
-            assert sign == 1 and head in sets.straddling
-            assert cand.cost == len(cand.terms)
-            total = sum(s * ps.entry(p) for p, s in cand.terms)
-            assert total == sum(vals.at(c) for c in cand.effective)
 
 
 def pinched_region(rng, width, height):
