@@ -231,11 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_scenario(path: str, subcommand: str, flags=()) -> int:
-    """Programmatic entry point: dispatch one subcommand on a scenario."""
-    return main([subcommand, "--scenario", path, *flags])
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, needs_region = COMMANDS[args.command]

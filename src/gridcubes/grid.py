@@ -85,10 +85,6 @@ class Rect:
             for x in range(self.x0, self.x1 + 1):
                 yield (x, y)
 
-    def lattice_corners(self) -> tuple[Coord, Coord, Coord, Coord]:
-        return ((self.x0, self.y0), (self.x1 + 1, self.y0),
-                (self.x0, self.y1 + 1), (self.x1 + 1, self.y1 + 1))
-
 
 class GridValues:
     """Dense per-node sensor readings backed by a read-only numpy array.

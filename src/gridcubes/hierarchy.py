@@ -5,6 +5,8 @@ Fk x Fk level-(k-1) cells. Cells at the right/bottom edge are clipped when the
 fanouts do not divide the grid dimensions, which keeps every level an exact
 tiling. Each cell's summary is stored at its junction, the lower-right corner
 of its bounds. Individual grid locations act as degenerate level-0 cells.
+HierarchyConfig is the one place that says which node is a level-k junction
+and where a cell's child blocks and their junctions lie.
 
 The summaries of one level form one array in block layout, built from the
 level below by a zero-pad, a reshape and a sum; Cell objects are made only
@@ -47,6 +49,37 @@ class HierarchyConfig:
     def side(self, level: int) -> int:
         """Side length of a level-k cell in grid units (level 0 -> 1)."""
         return math.prod(self.fanouts[:level])
+
+    def junction_level(self, p: Coord) -> int:
+        """Highest level whose cell has p as its lower-right corner (0 if none).
+
+        A level-k junction ends a side-long run or the grid in both axes; it
+        then ends one at every lower level too.
+        """
+        x, y = p
+        last_x, last_y = self.dims.width - 1, self.dims.height - 1
+        level, side = 0, 1
+        for f in self.fanouts:
+            side *= f
+            if not (((x + 1) % side == 0 or x == last_x)
+                    and ((y + 1) % side == 0 or y == last_y)):
+                break
+            level += 1
+        return level
+
+    def child_grid(self, cell: Cell) -> tuple[int, int, int]:
+        """(child side length, columns, rows) of a cell's child-block grid;
+        the last column and row are clipped at the cell's edge."""
+        side = self.side(cell.level - 1)
+        b = cell.bounds
+        return side, (b.width + side - 1) // side, (b.height + side - 1) // side
+
+    def child_junction(self, cell: Cell, i: int, j: int) -> Coord:
+        """Junction of the child block in column i, row j of a cell."""
+        side = self.side(cell.level - 1)
+        b = cell.bounds
+        return (min(b.x0 + (i + 1) * side, b.x1 + 1) - 1,
+                min(b.y0 + (j + 1) * side, b.y1 + 1) - 1)
 
 
 @dataclass(frozen=True)
@@ -169,19 +202,7 @@ class CubeHierarchy:
         """All cells whose junction is p, ordered by level ascending."""
         if not self.dims.contains(p):
             raise BoundsError(f"{p} outside grid {self.dims}")
-        x, y = p
-        last_x, last_y = self.dims.width - 1, self.dims.height - 1
-        out = []
-        for level in range(1, self.height + 1):
-            # A level-k junction ends a side-long run or the grid; it then
-            # ends one at every lower level too.
-            side = self._sides[level]
-            ends_x = (x + 1) % side == 0 or x == last_x
-            ends_y = (y + 1) % side == 0 or y == last_y
-            if not (ends_x and ends_y):
-                break
-            out.append(self.cell_at(level, p))
-        return out
+        return [self.cell_at(k, p) for k in range(1, self.config.junction_level(p) + 1)]
 
     def dump(self) -> list[str]:
         """One line per cell: level x0 y0 x1 y1 junction_x junction_y value."""

@@ -64,21 +64,15 @@ class PrefixSumCube:
         return self.hierarchy.values
 
     def _child_grid(self, cell: Cell) -> tuple[int, int, int]:
-        """(child side length, columns, rows) of a cell's child-block grid."""
-        side = self.config.side(cell.level - 1)
-        cols = (cell.bounds.width + side - 1) // side
-        rows = (cell.bounds.height + side - 1) // side
-        return side, cols, rows
+        return self.config.child_grid(cell)
 
     def point(self, cell: Cell, child: tuple[int, int]) -> PSDataPoint:
-        side, cols, rows = self._child_grid(cell)
+        _, cols, rows = self._child_grid(cell)
         ci, cj = child
         if not (0 <= ci < cols and 0 <= cj < rows):
             raise BoundsError(f"child index {child} outside {cell}")
-        b = cell.bounds
-        x1 = min(b.x0 + (ci + 1) * side, b.x1 + 1) - 1
-        y1 = min(b.y0 + (cj + 1) * side, b.y1 + 1) - 1
-        return PSDataPoint(cell, (x1, y1), Rect(b.x0, b.y0, x1, y1))
+        x1, y1 = self.config.child_junction(cell, ci, cj)
+        return PSDataPoint(cell, (x1, y1), Rect(cell.bounds.x0, cell.bounds.y0, x1, y1))
 
     def entry(self, point: PSDataPoint):
         table = self.tables[point.cell]

@@ -16,14 +16,15 @@ that are forwarded as combined. Dropping the trailing partial-prefix slot
 yields the plain summary scheme ("simple" mode); redundant mode persists one
 extra slot to cheapen failure recovery.
 
-The simulation is a logical dataflow: any schedule respecting the neighbour
-dependencies produces identical results, and the reference scheduler is
-single-threaded with a dependency audit.
+The simulation is a logical dataflow: any schedule that runs a node after
+its north, west and north-west neighbours produces identical results. The
+reference runs the nodes in row-major order, which is such a schedule: the
+north and north-west neighbours sit in the previous row, the west
+neighbour earlier in the same row.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -61,17 +62,7 @@ class SimStats:
 
 def junction_level(p: Coord, config: HierarchyConfig) -> int:
     """Highest level whose cell has p as its lower-right corner (0 if none)."""
-    x, y = p
-    w, h = config.dims.width, config.dims.height
-    level = 0
-    for k in range(1, config.height + 1):
-        side = config.side(k)
-        if (((x + 1) % side == 0 or x == w - 1)
-                and ((y + 1) % side == 0 or y == h - 1)):
-            level = k
-        else:
-            break
-    return level
+    return config.junction_level(p)
 
 
 def node_step(state: NodeState, pa: Packet | None, pb: Packet | None,
@@ -119,6 +110,9 @@ def run_construction(values: GridValues, config: HierarchyConfig,
                      ) -> tuple[dict[Coord, NodeState], SimStats]:
     """Run the construction wave and return final node states plus stats.
 
+    Nodes run in row-major order, so every node's north, west and north-west
+    packets exist before it runs.
+
     mode "ps" persists slots 1..k+1 per node (the prefix scheme); "simple"
     drops the trailing partial prefix and keeps only completed cell sums.
     redundant persists one extra slot. Transmissions are identical in every
@@ -128,52 +122,23 @@ def run_construction(values: GridValues, config: HierarchyConfig,
         raise ValidationError(f"unknown mode {mode!r}")
     if config.dims != values.dims:
         raise ValidationError("config dims do not match values dims")
-    w, h = config.dims.width, config.dims.height
-
-    def deps(p: Coord) -> list[Coord]:
-        x, y = p
-        return [(nx, ny) for nx, ny in ((x, y - 1), (x - 1, y), (x - 1, y - 1))
-                if 0 <= nx and 0 <= ny]
-
-    pending = {}
-    ready: list[Coord] = []
-    for p in config.dims.coords():
-        n = len(deps(p))
-        pending[p] = n
-        if n == 0:
-            heapq.heappush(ready, (p[1], p[0]))
-
+    extra = (1 if mode == "ps" else 0) + (1 if redundant else 0)
     packets: dict[Coord, Packet] = {}
     states: dict[Coord, NodeState] = {}
     sent: dict[Coord, int] = {}
     received: dict[Coord, int] = {}
-    done: set[Coord] = set()
-    while ready:
-        y, x = heapq.heappop(ready)
-        p = (x, y)
-        missing = [d for d in deps(p) if d not in done]
-        if missing:
-            raise RuntimeError(f"scheduler violated dependencies at {p}: {missing}")
+    for p in config.dims.coords():
+        x, y = p
         pa = packets.get((x, y - 1))
         pb = packets.get((x - 1, y))
         pc = packets.get((x - 1, y - 1))
-        pre = NodeState(p, junction_level(p, config), values.at(p), ())
+        pre = NodeState(p, config.junction_level(p), values.at(p), ())
         state, packet = node_step(pre, pa, pb, pc, config)
-        keep = state.junction_level + (1 if mode == "ps" else 0) + (1 if redundant else 0)
-        keep = min(keep, config.height)
-        states[p] = NodeState(p, state.junction_level, state.local_value,
-                              tuple(packet.slots[:keep]))
+        keep = min(state.junction_level + extra, config.height)
+        states[p] = NodeState(p, state.junction_level, state.local_value, packet.slots[:keep])
         packets[p] = packet
         sent[p] = 1
-        received[p] = len([q for q in (pa, pb, pc) if q is not None])
-        done.add(p)
-        for dx, dy in ((x + 1, y), (x, y + 1), (x + 1, y + 1)):
-            if dx < w and dy < h:
-                pending[(dx, dy)] -= 1
-                if pending[(dx, dy)] == 0:
-                    heapq.heappush(ready, (dy, dx))
-    if len(done) != w * h:
-        raise RuntimeError("construction wave did not reach every node")
+        received[p] = sum(q is not None for q in (pa, pb, pc))
     return states, SimStats(sent, received)
 
 

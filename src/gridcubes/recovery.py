@@ -21,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 
 from .errors import InfeasibleError, RecoveryError
 from .flow import build_flow_graph, mark_failed, min_cut_plan
 from .grid import Coord, RectilinearRegion
 from .hierarchy import Cell, CubeHierarchy, HierarchyConfig, cell_of, color_tree
-from .protocol import NodeState, junction_level, node_slot
+from .protocol import NodeState, node_slot
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ def recover_node(states: dict[Coord, NodeState], failed: Coord, level: int,
             continue
         reads = 1
         donors = {m}
-        if junction_level(m, config) >= level - 1:
+        if config.junction_level(m) >= level - 1:
             d = node_slot(states, m, level - 1)
             if d is None:
                 continue
@@ -126,20 +127,6 @@ def recover_node(states: dict[Coord, NodeState], failed: Coord, level: int,
         value = acc if terms[failed] == 1 else -acc
         return Reconstruction(value, tuple(sorted(donors)), reads)
     raise RecoveryError(f"no usable neighbour square for {failed} at level {level}")
-
-
-def _child_layout(config: HierarchyConfig, parent: Cell, level: int):
-    """(junction coordinate function, columns, rows) of parent's child grid."""
-    side = config.side(level)
-    b = parent.bounds
-    cols = (b.width + side - 1) // side
-    rows = (b.height + side - 1) // side
-
-    def junction(i: int, j: int) -> Coord:
-        return (min(b.x0 + (i + 1) * side, b.x1 + 1) - 1,
-                min(b.y0 + (j + 1) * side, b.y1 + 1) - 1)
-
-    return junction, cols, rows
 
 
 def _linear_block_solve(b_of, child_of, cols, rows, target):
@@ -228,7 +215,7 @@ def recover_junction(states: dict[Coord, NodeState], failed: Coord, level: int,
     the parent total from the next level up if its junction is the failed
     node itself.
     """
-    if junction_level(failed, config) < level:
+    if config.junction_level(failed) < level:
         raise RecoveryError(f"{failed} is not a junction for level {level}")
     fx, fy = failed
     w, h = config.dims.width, config.dims.height
@@ -236,17 +223,18 @@ def recover_junction(states: dict[Coord, NodeState], failed: Coord, level: int,
     if level >= config.height:
         raise RecoveryError(f"junction {failed} at top level has no recovery donors")
     parent = cell_of(config, level + 1, failed)
-    junction, cols, rows = _child_layout(config, parent, level)
-    p = (cell.bounds.x0 - parent.bounds.x0) // config.side(level)
-    q = (cell.bounds.y0 - parent.bounds.y0) // config.side(level)
+    side, cols, rows = config.child_grid(parent)
+    junction = partial(config.child_junction, parent)
+    p = (cell.bounds.x0 - parent.bounds.x0) // side
+    q = (cell.bounds.y0 - parent.bounds.y0) // side
 
     if redundant:
         first_child = (p, q) == (0, 0)
         slot = level + 1
-        side = config.side(slot)
+        slot_side = config.side(slot)
         m = (fx + 1, fy + 1)
         if (first_child and m[0] < w and m[1] < h
-                and m[0] % side != 0 and m[1] % side != 0):
+                and m[0] % slot_side != 0 and m[1] % slot_side != 0):
             a, b = (fx + 1, fy), (fx, fy + 1)
             va = node_slot(states, a, slot)
             vb = node_slot(states, b, slot)
@@ -254,7 +242,7 @@ def recover_junction(states: dict[Coord, NodeState], failed: Coord, level: int,
             if None not in (va, vb, vm):
                 value = va + vb - vm
                 reads = 3
-                if junction_level(m, config) >= slot - 1:
+                if config.junction_level(m) >= slot - 1:
                     d = node_slot(states, m, slot - 1)
                     if d is not None:
                         value += d
@@ -344,8 +332,8 @@ def _cell_readable(h: CubeHierarchy, cell: Cell, area: frozenset[Coord]) -> int 
     if cell.level >= config.height:
         return None
     parent = cell_of(config, cell.level + 1, cell.junction)
-    junction, cols, rows = _child_layout(config, parent, cell.level)
-    side = config.side(cell.level)
+    side, cols, rows = config.child_grid(parent)
+    junction = partial(config.child_junction, parent)
     p = (cell.bounds.x0 - parent.bounds.x0) // side
     q = (cell.bounds.y0 - parent.bounds.y0) // side
     i0, j0 = parent.bounds.x0 // side, parent.bounds.y0 // side

@@ -106,10 +106,33 @@ class Scenario:
         return self.failure_set(specs)
 
 
-def _require(obj, key, context):
-    if key not in obj:
+def _object(obj, context) -> dict:
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{context} must be a JSON object")
+    return obj
+
+
+def _require(obj, key, context, expected=object):
+    if key not in _object(obj, context):
         raise ScenarioError(f"missing {key!r} in {context}", kind="validation")
+    if not isinstance(obj[key], expected):
+        raise ScenarioError(f"{key!r} in {context} must be a {expected.__name__}")
     return obj[key]
+
+
+def _list(obj, context, item=object) -> list:
+    """obj as a JSON list whose entries are all of type `item`."""
+    if not isinstance(obj, list) or not all(isinstance(v, item) for v in obj):
+        of = "" if item is object else f" of {item.__name__}"
+        raise ScenarioError(f"{context} must be a list{of}")
+    return obj
+
+
+def _int(value, context) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{context} must be an integer, got {value!r}") from None
 
 
 def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
@@ -123,37 +146,54 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
             f"scenario parse error at line {e.lineno}, column {e.colno}: {e.msg}",
             kind="parse") from None
 
-    if raw.get("schema") != 1:
+    if _object(raw, "scenario").get("schema") != 1:
         raise ScenarioError("unsupported or missing schema version", kind="validation")
     grid = _require(raw, "grid", "scenario")
-    dims = GridDims(int(_require(grid, "width", "grid")), int(_require(grid, "height", "grid")))
+    dims = GridDims(_int(_require(grid, "width", "grid"), "grid width"),
+                    _int(_require(grid, "height", "grid"), "grid height"))
     if "values" in grid:
-        values = GridValues.from_flat(dims, grid["values"])
+        try:
+            values = GridValues.from_flat(dims, grid["values"])
+        except (TypeError, ValueError) as e:
+            raise ScenarioError(f"bad grid values: {e}") from None
     elif "random" in grid:
-        spec = grid["random"]
-        seed = seed_override if seed_override is not None else int(_require(spec, "seed", "random"))
-        values = GridValues.random(dims, seed, int(spec.get("low", 0)), int(spec.get("high", 9)))
+        spec = _object(grid["random"], "random")
+        seed = seed_override if seed_override is not None else \
+            _int(_require(spec, "seed", "random"), "seed")
+        values = GridValues.random(dims, seed, _int(spec.get("low", 0), "low"),
+                                   _int(spec.get("high", 9), "high"))
     else:
         raise ScenarioError("grid needs 'values' or 'random'", kind="validation")
 
     hier = _require(raw, "hierarchy", "scenario")
-    config = HierarchyConfig(dims, tuple(int(f) for f in _require(hier, "fanouts", "hierarchy")))
+    fanouts = _list(_require(hier, "fanouts", "hierarchy"), "fanouts")
+    config = HierarchyConfig(dims, tuple(_int(f, "fanout") for f in fanouts))
     mode = hier.get("mode", "simple")
     if mode not in ("simple", "ps"):
         raise ScenarioError(f"bad hierarchy mode {mode!r}", kind="validation")
 
     regions = {}
-    for entry in raw.get("regions", []):
-        name = _require(entry, "name", "region")
-        rect_pairs = [((r[0], r[1]), (r[2], r[3])) for r in _require(entry, "rects", name)]
-        regions[name] = region_from_rectangles(rect_pairs, dims)
+    for entry in _list(raw.get("regions", []), "regions"):
+        name = _require(entry, "name", "region", str)
+        rects = _list(_require(entry, "rects", f"region {name!r}"), f"rects of {name!r}", list)
+        if not all(len(r) == 4 and all(isinstance(v, int) for v in r) for r in rects):
+            raise ScenarioError(f"each rect of {name!r} must be four integers x0,y0,x1,y1")
+        regions[name] = region_from_rectangles(
+            [((r[0], r[1]), (r[2], r[3])) for r in rects], dims)
 
-    failures = {e["name"]: list(e["fail"]) for e in raw.get("failures", [])}
-    queries = {e["name"]: list(e["regions"]) for e in raw.get("queries", [])}
+    failures = {_require(e, "name", "failure", str):
+                _list(_require(e, "fail", "failure"), "failure specs", str)
+                for e in _list(raw.get("failures", []), "failures")}
+    queries = {_require(e, "name", "query", str):
+               _list(_require(e, "regions", "query"), "query regions", str)
+               for e in _list(raw.get("queries", []), "queries")}
     for name, members in queries.items():
         for member in members:
             if member not in regions:
                 raise ScenarioError(
                     f"query {name!r} references unknown region {member!r}", kind="name")
+    aliases = _object(raw.get("aliases", {}), "aliases")
+    if not all(isinstance(v, str) for v in aliases.values()):
+        raise ScenarioError("alias targets must be strings")
     return Scenario(values, config, mode, bool(hier.get("redundant", False)),
-                    regions, failures, dict(raw.get("aliases", {})), queries)
+                    regions, failures, dict(aliases), queries)

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from gridcubes.cli import main
 from gridcubes.scenario import load_scenario
 
@@ -221,3 +223,40 @@ def test_seed_override(tmp_path, capsys):
         outs.append(out)
     assert outs[0] == outs[1]
     assert outs[0] != outs[2]
+
+
+def _malformed(**changes):
+    scenario = {
+        "schema": 1,
+        "grid": {"width": 4, "height": 4, "values": list(range(16))},
+        "hierarchy": {"fanouts": [2]},
+        "regions": [{"name": "R", "rects": [[0, 0, 1, 1]]}],
+    }
+    scenario.update(changes)
+    return scenario
+
+
+@pytest.mark.parametrize("scenario", [
+    _malformed(failures=[{"name": "f"}]),
+    _malformed(queries=[{"name": "q"}]),
+    _malformed(regions=[{"name": "R", "rects": [[0, 0, 1]]}]),
+    _malformed(regions=[{"name": "R", "rects": [[0, 0, "a", 1]]}]),
+    _malformed(aliases=["x"]),
+    _malformed(hierarchy={"fanouts": ["x"]}),
+    [1, 2],
+    _malformed(grid={"width": "w", "height": 4, "values": list(range(16))}),
+    _malformed(grid={"width": 4, "height": 4, "random": 5}),
+    _malformed(grid={"width": 4, "height": 4, "values": ["a"] * 16}),
+    _malformed(regions=[{"name": ["R"], "rects": []}]),
+    _malformed(queries=[{"name": "q", "regions": [["R"]]}]),
+    _malformed(failures=[{"name": "f", "fail": "node:0,0"}]),
+    _malformed(aliases={"a": 5}),
+], ids=["failure-without-fail", "query-without-regions", "short-rect", "string-in-rect",
+        "aliases-list", "string-fanout", "top-level-list", "string-width", "random-not-object",
+        "string-values", "list-name", "list-query-member", "fail-not-list", "alias-not-string"])
+def test_malformed_scenario_exits_4(tmp_path, capsys, scenario):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    code, _, err = run(capsys, "plan", "--scenario", str(path), "--region", "R")
+    assert code == 4
+    assert err.startswith("error: ")

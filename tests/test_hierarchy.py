@@ -104,11 +104,19 @@ def test_cells_at_junctions():
     (11, 7, (2, 3)), (13, 10, (1, 2, 2)), (9, 9, (3, 3)), (5, 8, (2, 2, 2, 2))])
 def test_cells_at_matches_scan_of_every_level(width, height, fanouts):
     # Clipped right and bottom cells keep their junction on the grid edge.
-    h = build_hierarchy(ones(width, height), HierarchyConfig(GridDims(width, height), fanouts))
+    config = HierarchyConfig(GridDims(width, height), fanouts)
+    h = build_hierarchy(ones(width, height), config)
     for x in range(width):
         for y in range(height):
             scan = [c for cells in h.levels for c in cells if c.junction == (x, y)]
             assert h.cells_at((x, y)) == scan
+            assert config.junction_level((x, y)) == len(scan)
+    # Child blocks and their junctions come in row-major order.
+    for cells in h.levels:
+        for cell in cells:
+            _, cols, rows = config.child_grid(cell)
+            assert [config.child_junction(cell, i, j) for j in range(rows) for i in range(cols)] \
+                == [c.junction for c in h.children(cell)]
 
 
 def test_dump_format():

@@ -159,3 +159,24 @@ def test_clipped_grids_match_oracle():
                 assert node_slot(states, cell.junction, level) == hier.value(cell), \
                     (w, h, fanouts, cell)
         assert stats.total_messages == w * h
+
+
+@pytest.mark.parametrize("mode", ["simple", "ps"])
+@pytest.mark.parametrize("redundant", [False, True])
+@pytest.mark.parametrize("w,h,fanouts", [(7, 5, (3, 2)), (10, 9, (2, 2, 2)), (5, 8, (4,))])
+def test_anti_diagonal_schedule_matches_run_construction(w, h, fanouts, mode, redundant):
+    # A synchronous network fires node (x, y) in round x + y, after all three
+    # of its inputs; the stored tuples must not depend on the schedule.
+    vals = GridValues.random(GridDims(w, h), seed=w * h)
+    cfg = HierarchyConfig(GridDims(w, h), fanouts)
+    states, stats = run_construction(vals, cfg, mode=mode, redundant=redundant)
+    packets = {}
+    for x, y in sorted(vals.dims.coords(), key=lambda p: (p[0] + p[1], p[1])):
+        pre = NodeState((x, y), junction_level((x, y), cfg), vals.at((x, y)), ())
+        _, packets[(x, y)] = node_step(pre, packets.get((x, y - 1)), packets.get((x - 1, y)),
+                                       packets.get((x - 1, y - 1)), cfg)
+    assert states.keys() == packets.keys()
+    for (x, y), state in states.items():
+        assert state.stored == packets[(x, y)].slots[:len(state.stored)]
+        neighbours = [(x, y - 1), (x - 1, y), (x - 1, y - 1)]
+        assert stats.received[(x, y)] == sum(n in packets for n in neighbours)
