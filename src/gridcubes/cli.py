@@ -1,8 +1,9 @@
 """Scenario-driven command line front end.
 
 Subcommands: divide, plan, ps-plan, construct, recover, render. Output is
-line oriented; --json additionally writes a machine-readable report. Exit
-codes: 0 success, 2 scenario parse error, 3 unresolved name, 4 bounds or
+line oriented; --json additionally writes a machine-readable report. Each
+subcommand accepts only the options it reads. Exit codes: 0 success, 2
+scenario parse error or usage error, 3 unresolved name, 4 bounds or
 validation error, 1 unexpected failure.
 """
 
@@ -200,13 +201,25 @@ def cmd_render(scenario: Scenario, args, report: dict) -> int:
     return EXIT_OK
 
 
+# Per subcommand: its handler, whether it needs a --region, and the options
+# it reads besides --scenario, --json and --seed; it accepts no others.
 COMMANDS = {
-    "divide": (cmd_divide, True),
-    "plan": (cmd_plan, True),
-    "ps-plan": (cmd_ps_plan, True),
-    "construct": (cmd_construct, False),
-    "recover": (cmd_recover, True),
-    "render": (cmd_render, False),
+    "divide": (cmd_divide, True, ("--region",)),
+    "plan": (cmd_plan, True, ("--region", "--fail")),
+    "ps-plan": (cmd_ps_plan, True, ("--region",)),
+    "construct": (cmd_construct, False, ("--mode", "--redundant", "--dump")),
+    "recover": (cmd_recover, True, ("--region", "--fail")),
+    "render": (cmd_render, False, ("--region", "--svg", "--plan")),
+}
+
+OPTIONS = {
+    "--region": {"action": "append", "default": []},
+    "--fail": {"action": "append", "default": []},
+    "--mode": {"choices": ["simple", "ps"]},
+    "--redundant": {"action": "store_true"},
+    "--svg": {},
+    "--dump": {"action": "store_true"},
+    "--plan": {"action": "store_true", "help": "overlay the min-cut plan when rendering"},
 }
 
 
@@ -215,25 +228,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gridcubes",
         description="Multiresolution cube queries over 2-D sensor grids")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, _, options) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True)
-        p.add_argument("--region", action="append", default=[])
-        p.add_argument("--fail", action="append", default=[])
-        p.add_argument("--mode", choices=["simple", "ps"])
-        p.add_argument("--redundant", action="store_true")
         p.add_argument("--json", dest="json_path")
-        p.add_argument("--svg")
         p.add_argument("--seed", type=int)
-        p.add_argument("--dump", action="store_true")
-        p.add_argument("--plan", action="store_true",
-                       help="overlay the min-cut plan when rendering")
+        for option in options:
+            p.add_argument(option, **OPTIONS[option])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler, needs_region = COMMANDS[args.command]
+    handler, needs_region, _ = COMMANDS[args.command]
     try:
         scenario = load_scenario(args.scenario, seed_override=args.seed)
         if needs_region and not args.region:

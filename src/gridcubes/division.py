@@ -32,9 +32,5 @@ def greedy_divide(h: CubeHierarchy, region: RectilinearRegion) -> CellCover:
     """Minimum cover of `region`, cells ordered by top-left (y, x)."""
     if not region:
         raise ValidationError("cannot divide an empty region")
-    tree = color_tree(h, region)
-    if tree.root.color is Color.GREY:
-        cells = h.top_cells
-    else:
-        cells = tree.cells_by_color(Color.GREY)
+    cells = color_tree(h, region).cells_by_color(Color.GREY)
     return CellCover(tuple(sorted(cells, key=lambda c: (c.bounds.y0, c.bounds.x0))), region)

@@ -122,12 +122,6 @@ def _record_colors(trees: Sequence[HierarchyTree]):
     """Per cell: its color in each query and its parent cell (None on top)."""
     records: dict[Cell, tuple[dict[int, Color], Cell | None]] = {}
     for qi, tree in enumerate(trees):
-        if tree.root.color is Color.GREY:
-            # Region covers the whole grid: the usable data points are the
-            # top-level cells, all grey.
-            for top in tree.hierarchy.top_cells:
-                records.setdefault(top, ({}, None))[0][qi] = Color.GREY
-            continue
         stack = [(node, None) for node in tree.root.children]
         while stack:
             node, parent = stack.pop()

@@ -254,7 +254,9 @@ class HierarchyTree:
 
     Subtrees under grey and white nodes are pruned: a fully-inside or
     fully-outside cell always dominates its descendants. The synthetic root
-    covers the whole grid and is the parent of the top-level cells.
+    covers the whole grid and is the parent of the top-level cells. For a
+    whole-grid region it is grey with every top cell as a grey leaf; for an
+    empty region it is white and childless; otherwise it is partial.
     """
 
     def __init__(self, root: TreeNode, hierarchy: CubeHierarchy, region: RectilinearRegion):
@@ -293,12 +295,9 @@ def _color_node(h: CubeHierarchy, cell: Cell, region: RectilinearRegion) -> Tree
 def color_tree(h: CubeHierarchy, region: RectilinearRegion) -> HierarchyTree:
     if not region.within(h.dims):
         raise BoundsError("region extends outside the grid")
-    grid_area = h.dims.width * h.dims.height
     if not region:
-        root = TreeNode(None, Color.WHITE, ())
-    elif len(region) == grid_area:
-        root = TreeNode(None, Color.GREY, ())
-    else:
-        kids = tuple(_color_node(h, c, region) for c in h.top_cells)
-        root = TreeNode(None, Color.PARTIAL, kids)
+        return HierarchyTree(TreeNode(None, Color.WHITE, ()), h, region)
+    kids = tuple(_color_node(h, c, region) for c in h.top_cells)
+    whole = len(region) == h.dims.width * h.dims.height
+    root = TreeNode(None, Color.GREY if whole else Color.PARTIAL, kids)
     return HierarchyTree(root, h, region)

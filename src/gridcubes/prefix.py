@@ -354,8 +354,6 @@ def ps_query_plan(ps: PrefixSumCube, region: RectilinearRegion) -> QueryPlan:
     if not region:
         raise ValidationError("cannot plan an empty region")
     tree = color_tree(ps.hierarchy, region)
-    # A whole-grid region colors the root grey, which prunes the top cells.
-    top = tree.root.children or [TreeNode(cell, Color.GREY, ()) for cell in ps.hierarchy.top_cells]
-    terms = [t for node in top for t in _node_terms(ps, node)]
+    terms = [t for node in tree.root.children for t in _node_terms(ps, node)]
     value = sum(s * ps.entry(p) for p, s in terms)
     return QueryPlan(tuple(terms), value)

@@ -203,6 +203,41 @@ def _linear_block_solve(b_of, child_of, cols, rows, target):
     return -rhs, sorted(used)
 
 
+def _parent_block(config: HierarchyConfig, cell: Cell, slots, escalate):
+    """V(cell) from the block-prefix identities of its parent cell.
+
+    slots(parent) returns slot(p, k), node p's stored level-k value or None
+    when p is dead. If the parent's junction is dead too, escalate(parent)
+    may rebuild the parent total (a Reconstruction, or None) as the last
+    prefix. Returns (value or None, junctions read, escalation), the last
+    an empty Reconstruction when there was none.
+    """
+    level = cell.level
+    parent = cell_of(config, level + 1, cell.junction)
+    side, cols, rows = config.child_grid(parent)
+    junction = partial(config.child_junction, parent)
+    slot = slots(parent)
+    corner = (cols - 1, rows - 1)
+    target = ((cell.bounds.x0 - parent.bounds.x0) // side,
+              (cell.bounds.y0 - parent.bounds.y0) // side)
+    upper = None
+
+    def b_of(i, j):
+        if (i, j) == corner and upper is not None:
+            return upper.value
+        return slot(junction(i, j), level + 1)
+
+    def child_of(i, j):
+        return slot(junction(i, j), level)
+
+    value, used = _linear_block_solve(b_of, child_of, cols, rows, target)
+    if value is None and b_of(*corner) is None:
+        upper = escalate(parent)
+        if upper is not None:
+            value, used = _linear_block_solve(b_of, child_of, cols, rows, target)
+    return value, [junction(i, j) for i, j in used], upper or Reconstruction(None, (), 0)
+
+
 def recover_junction(states: dict[Coord, NodeState], failed: Coord, level: int,
                      config: HierarchyConfig, redundant: bool = False) -> Reconstruction:
     """Rebuild V(cell) for the level-`level` cell whose junction failed.
@@ -276,31 +311,15 @@ def recover_junction(states: dict[Coord, NodeState], failed: Coord, level: int,
                 distance = sum(_chebyshev(failed, d) for d in donors)
                 return Reconstruction(value, tuple(donors), reads, distance)
 
-    def b_of(i, j):
-        return node_slot(states, junction(i, j), level + 1)
-
-    def child_of(i, j):
-        return node_slot(states, junction(i, j), level)
-
-    value, used = _linear_block_solve(b_of, child_of, cols, rows, (p, q))
-    extra_donors: tuple[Coord, ...] = ()
-    extra_reads = 0
-    if value is None and node_slot(states, parent.junction, level + 1) is None:
-        upper = recover_junction(states, parent.junction, level + 1, config, redundant)
-        extra_donors, extra_reads = upper.donors, upper.reads
-
-        def b_patched(i, j, total=upper.value):
-            if (i, j) == (cols - 1, rows - 1):
-                return total
-            return b_of(i, j)
-
-        value, used = _linear_block_solve(b_patched, child_of, cols, rows, (p, q))
+    value, used, upper = _parent_block(
+        config, cell, lambda parent: partial(node_slot, states),
+        lambda parent: recover_junction(states, parent.junction, level + 1, config, redundant))
     if value is None:
         raise RecoveryError(f"block identities underdetermined for {failed} at level {level}")
     if value.denominator == 1:
         value = int(value)
-    donors = tuple(dict.fromkeys([junction(i, j) for i, j in used] + list(extra_donors)))
-    reads = 2 * len(used) + extra_reads
+    donors = tuple(dict.fromkeys(used + list(upper.donors)))
+    reads = 2 * len(used) + upper.reads
     distance = sum(_chebyshev(failed, d) for d in donors)
     return Reconstruction(value, donors, reads, distance)
 
@@ -318,51 +337,33 @@ def failed_datapoints(h: CubeHierarchy, failures: FailureSet) -> set[Cell]:
 def _cell_readable(h: CubeHierarchy, cell: Cell, area: frozenset[Coord]) -> int | None:
     """Reads needed to obtain V(cell) under the failure area, or None.
 
-    Mirrors recover_junction's donor algebra on the hierarchy: a cell whose
-    junction died is solvable from the surviving block-prefix identities of
-    its parent cell, recovering the parent total from the next level up when
-    that junction died too.
+    A cell whose junction died is solved from its parent cell's block-prefix
+    identities, as in recover_junction's last resort.
     """
     if cell.level == 0:
         p = (cell.bounds.x0, cell.bounds.y0)
         return 1 if p not in area else None
     if cell.junction not in area:
         return 1
-    config = h.config
-    if cell.level >= config.height:
+    if cell.level >= h.height:
         return None
-    parent = cell_of(config, cell.level + 1, cell.junction)
-    side, cols, rows = config.child_grid(parent)
-    junction = partial(config.child_junction, parent)
-    p = (cell.bounds.x0 - parent.bounds.x0) // side
-    q = (cell.bounds.y0 - parent.bounds.y0) // side
-    i0, j0 = parent.bounds.x0 // side, parent.bounds.y0 // side
-    kids = h.level_array(cell.level)[j0:j0 + rows, i0:i0 + cols]
-    prefix = kids.cumsum(axis=0).cumsum(axis=1)
 
-    def b_of(i, j):
-        return None if junction(i, j) in area else prefix[j, i].item()
+    def slots(parent):
+        side, cols, rows = h.config.child_grid(parent)
+        i0, j0 = parent.bounds.x0 // side, parent.bounds.y0 // side
+        kids = h.level_array(cell.level)[j0:j0 + rows, i0:i0 + cols]
+        stored = {cell.level: kids, parent.level: kids.cumsum(axis=0).cumsum(axis=1)}
+        return lambda p, k: (None if p in area
+                             else stored[k][p[1] // side - j0, p[0] // side - i0].item())
 
-    def child_of(i, j):
-        return None if junction(i, j) in area else kids[j, i].item()
+    def escalate(parent):
+        reads = _cell_readable(h, parent, area)
+        return None if reads is None else Reconstruction(h.value(parent), (), reads)
 
-    value, used = _linear_block_solve(b_of, child_of, cols, rows, (p, q))
-    extra = 0
-    if value is None and parent.junction in area:
-        upper = _cell_readable(h, parent, area)
-        if upper is None:
-            return None
-        extra = upper
-
-        def b_patched(i, j):
-            if (i, j) == (cols - 1, rows - 1):
-                return h.value(parent)
-            return b_of(i, j)
-
-        value, used = _linear_block_solve(b_patched, child_of, cols, rows, (p, q))
+    value, used, upper = _parent_block(h.config, cell, slots, escalate)
     if value is None:
         return None
-    return 2 * len(used) + extra
+    return 2 * len(used) + upper.reads
 
 
 def _components(area: frozenset[Coord]) -> list[frozenset[Coord]]:
@@ -402,8 +403,9 @@ def recover_region(h: CubeHierarchy, failures: FailureSet,
 
     Each failed component intersecting the query is grown level by level
     until a readable enclosure is found; its sum is the enclosing cells'
-    values minus the alive remainder. An enclosure larger than the requested
-    part yields a uniformity estimate scaled by the area ratio. `failed_dps`
+    values minus the alive remainder, and minus the failed sums of earlier
+    portions it takes in. An enclosure larger than the requested part yields
+    a uniformity estimate scaled by the area ratio. `failed_dps`
     is failed_datapoints(h, failures) when the caller has it already.
     """
     area = failures.area()
@@ -419,13 +421,14 @@ def recover_region(h: CubeHierarchy, failures: FailureSet,
 
     total = exact_value
     recovered: set[Coord] = set()
+    done: set[Cell] = set()  # maximal cells of the portions recovered so far
     any_estimate = False
     pending = set(q_failed)
     components = _components(area)
     while pending:
         seed = min(pending, key=lambda p: (p[1], p[0]))
         comp = next(c for c in components if seed in c)
-        requested = frozenset(q_failed & comp)
+        requested = frozenset(pending & comp)
         grown = requested
         portion = None
         for level in range(1, h.height + 1):
@@ -442,20 +445,28 @@ def recover_region(h: CubeHierarchy, failures: FailureSet,
             alive_inside = covered - set(grown)
             value -= sum(h.values.at(p) for p in alive_inside)
             reads += sum(cell_reads) + len(alive_inside)
-            portion = (value, grown)
+            portion = (value, grown, cells)
             break
         if portion is None:
             return RecoveryResult(RecoveryKind.UNRECOVERABLE, None,
                                   frozenset(recovered), q_failed, reads)
-        value, grown = portion
-        wanted = frozenset(query.cells & grown)
-        if wanted == grown:
+        value, grown, cells = portion
+        # Every cell holds a location no earlier portion recovered, so it is
+        # never inside an earlier portion's cell: the overlap is made of
+        # whole earlier cells, whose failed sums were counted already.
+        inside = {e for e in done if (e.bounds.x0, e.bounds.y0) in covered}
+        for e in inside:
+            value -= h.value(e) - sum(h.values.at(p) for p in set(e.bounds.coords()) - area)
+        done = (done - inside) | cells
+        new = grown - recovered
+        wanted = frozenset(query.cells & new)
+        if wanted == new:
             total += value
         else:
             any_estimate = True
-            total += Fraction(value) * Fraction(len(wanted), len(grown))
-        recovered.update(grown)
-        pending -= grown
+            total += Fraction(value) * Fraction(len(wanted), len(new))
+        recovered.update(new)
+        pending -= new
 
     if isinstance(total, Fraction) and total.denominator == 1:
         total = int(total)

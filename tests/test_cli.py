@@ -1,12 +1,16 @@
 import json
+import re
+import shlex
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from gridcubes.cli import main
+from gridcubes.cli import build_parser, main
 from gridcubes.scenario import load_scenario
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "fixtures"
 THREE_LEVEL = str(FIXTURES / "three_level.json")
 PS4X4 = str(FIXTURES / "ps4x4.json")
 AREA = str(FIXTURES / "area_failure.json")
@@ -260,3 +264,66 @@ def test_malformed_scenario_exits_4(tmp_path, capsys, scenario):
     code, _, err = run(capsys, "plan", "--scenario", str(path), "--region", "R")
     assert code == 4
     assert err.startswith("error: ")
+
+
+# Every option of the command line, with a sample value (None for a flag).
+OPTION_VALUES = {"--scenario": THREE_LEVEL, "--region": "G", "--fail": "2", "--mode": "ps",
+                 "--redundant": None, "--json": "report.json", "--svg": "out.svg",
+                 "--seed": "1", "--dump": None, "--plan": None}
+COMMON_OPTIONS = ("--scenario", "--json", "--seed")
+# The options each subcommand reads besides the common ones.
+OWN_OPTIONS = {
+    "divide": ("--region",),
+    "plan": ("--region", "--fail"),
+    "ps-plan": ("--region",),
+    "construct": ("--mode", "--redundant", "--dump"),
+    "recover": ("--region", "--fail"),
+    "render": ("--region", "--svg", "--plan"),
+}
+UNREAD = [(command, option) for command, own in OWN_OPTIONS.items()
+          for option in OPTION_VALUES if option not in own + COMMON_OPTIONS]
+
+
+def option_argv(command: str, options) -> list[str]:
+    argv = [command]
+    for option in options:
+        value = OPTION_VALUES[option]
+        argv += [option] if value is None else [option, value]
+    return argv
+
+
+def test_each_subcommand_accepts_the_options_it_reads():
+    assert len(UNREAD) == 30
+    for command, own in OWN_OPTIONS.items():
+        args = build_parser().parse_args(option_argv(command, COMMON_OPTIONS + own))
+        assert args.command == command
+
+
+@pytest.mark.parametrize("command,option", UNREAD,
+                         ids=[f"{c}{o}" for c, o in UNREAD])
+def test_option_a_subcommand_does_not_read_is_a_usage_error(capsys, command, option):
+    with pytest.raises(SystemExit) as exc:
+        main(option_argv(command, ("--scenario", option)))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def readme_command_lines() -> list[list[str]]:
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = re.sub(r"\\\n", " ", block).splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("gridcubes ")]
+
+
+def test_readme_and_benchmark_command_lines_parse(monkeypatch):
+    lines = readme_command_lines()
+    assert {argv[0] for argv in lines} == set(OWN_OPTIONS)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import CliWorkload
+
+    paths = SimpleNamespace(scenario_path=Path("scenario.json"), report_path=Path("report.json"))
+    for command in ("plan", "divide", "ps-plan"):
+        for n_regions in (1, 3):
+            lines.append(CliWorkload.request(paths, command, n_regions))
+    for argv in lines:
+        assert build_parser().parse_args(argv).command == argv[0]

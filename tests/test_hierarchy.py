@@ -139,7 +139,9 @@ def test_coloring_worked_example():
 def test_coloring_whole_grid_and_empty():
     vals, h = demo_cube()
     whole = color_tree(h, region_from_rectangles([((0, 0), (7, 7))], h.dims))
-    assert whole.root.color is Color.GREY and whole.root.children == ()
+    assert whole.root.color is Color.GREY
+    assert [n.cell for n in whole.root.children] == list(h.top_cells)
+    assert all(n.color is Color.GREY and n.children == () for n in whole.root.children)
     empty = color_tree(h, RectilinearRegion.empty())
     assert empty.root.color is Color.WHITE and empty.root.children == ()
 

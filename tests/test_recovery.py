@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridcubes.errors import RecoveryError
 from gridcubes.flow import QueryPlan
@@ -206,3 +207,69 @@ def test_exact_bypass_matches_plain_plan():
     res = plan_with_failures(h, FailureSet(), query)
     assert isinstance(res, QueryPlan)
     assert res.value == naive_region_sum(vals, query)
+
+
+def assert_recovery_bounds(vals, failures, query, res):
+    area = failures.area()
+    assert res.requested_area == query.cells & area
+    assert res.recovered_area <= area
+    if res.kind is RecoveryKind.EXACT:
+        assert res.value == naive_region_sum(vals, query)
+    elif res.kind is RecoveryKind.ESTIMATE:
+        alive = sum(vals.at(p) for p in query.cells - area)
+        readings = [vals.at(p) for p in res.recovered_area]
+        n = len(res.requested_area)
+        assert alive + min(readings) * n <= res.value <= alive + max(readings) * n
+
+
+def test_overlapping_portions_count_each_location_once():
+    # The portion seeded at (0, 0) recovers the cell L1(0,0), (1, 1) included;
+    # the portion of the component (1, 1)-(1, 3) must not count it again.
+    vals = GridValues.random(GridDims(8, 8), seed=5, low=1, high=9)
+    h = build_hierarchy(vals, HierarchyConfig(GridDims(8, 8), (2, 2, 2)))
+    failures = FailureSet.of(nodes=[(0, 0), (1, 1), (1, 2), (1, 3)])
+    query = region_from_rectangles([((0, 0), (1, 3))], h.dims)
+    res = recover_region(h, failures, query)
+    assert res.kind is RecoveryKind.EXACT
+    assert res.value == naive_region_sum(vals, query) == 34
+
+
+def test_overlapping_portions_keep_the_estimate_bound():
+    vals = GridValues.random(GridDims(10, 11), seed=1664, low=1, high=9)
+    h = build_hierarchy(vals, HierarchyConfig(GridDims(10, 11), (2, 2, 2)))
+    dead = [(0, 10), (1, 3), (2, 2), (2, 5), (2, 9), (3, 3), (3, 4), (3, 7), (5, 10), (6, 10)]
+    query = region_from_rectangles([((1, 2), (6, 4))], h.dims)
+    res = plan_with_failures(h, FailureSet.of(nodes=dead), query)
+    assert res.kind is RecoveryKind.ESTIMATE
+    assert res.value == Fraction(177, 2)
+    assert_recovery_bounds(vals, FailureSet.of(nodes=dead), query, res)
+
+
+@st.composite
+def failure_cases(draw):
+    width, height = draw(st.integers(4, 12)), draw(st.integers(4, 12))
+    fanouts = draw(st.sampled_from([(2, 2), (2, 2, 2), (3, 2), (2, 3)]))
+    dims = GridDims(width, height)
+    vals = GridValues.random(dims, seed=draw(st.integers(0, 2**16)), low=1, high=9)
+    h = build_hierarchy(vals, HierarchyConfig(dims, fanouts))
+    point = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    nodes = draw(st.lists(point, max_size=10))
+    cells = [h.cell_at(draw(st.integers(1, h.height - 1)), p)
+             for p in draw(st.lists(point, max_size=2))]
+    (x0, y0), (x1, y1) = draw(point), draw(point)
+    query = region_from_rectangles(
+        [((min(x0, x1), min(y0, y1)), (max(x0, x1), max(y0, y1)))], dims)
+    return vals, h, FailureSet.of(nodes=nodes, cells=cells), query
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(failure_cases())
+def test_answers_under_failure_match_naive_summation(case):
+    vals, h, failures, query = case
+    res = plan_with_failures(h, failures, query)
+    if isinstance(res, QueryPlan):
+        area = failures.area()
+        assert all(cell.junction not in area for cell, _ in res.terms)
+        assert res.value == naive_region_sum(vals, query)
+    else:
+        assert_recovery_bounds(vals, failures, query, res)
