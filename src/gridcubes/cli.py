@@ -2,9 +2,9 @@
 
 Subcommands: divide, plan, ps-plan, construct, recover, render. Output is
 line oriented; --json additionally writes a machine-readable report. Each
-subcommand accepts only the options it reads. Exit codes: 0 success, 2
-scenario parse error or usage error, 3 unresolved name, 4 bounds or
-validation error, 1 unexpected failure.
+subcommand accepts only the options it reads, spelled in full. Exit codes:
+0 success, 2 scenario parse error or usage error, 3 unresolved name, 4
+bounds or validation error, 1 unexpected failure.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def cmd_construct(scenario: Scenario, args, report: dict) -> int:
     states, stats = run_construction(scenario.values, scenario.config,
                                      mode=mode, redundant=redundant)
     sent = stats.total_messages
-    print(f"sent {sent} received {sum(stats.received.values())} "
+    print(f"sent {sent} received {stats.total_received} "
           f"max-received {stats.max_received}")
     if args.dump:
         for (x, y) in scenario.dims.coords():
@@ -156,7 +156,7 @@ def cmd_construct(scenario: Scenario, args, report: dict) -> int:
             print(f"{x} {y} {st.junction_level} {vals}")
     report["construct"] = {"mode": mode, "redundant": redundant,
                            "sent": sent,
-                           "received": sum(stats.received.values()),
+                           "received": stats.total_received,
                            "max_received": stats.max_received}
     return EXIT_OK
 
@@ -225,11 +225,11 @@ OPTIONS = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="gridcubes",
+        prog="gridcubes", allow_abbrev=False,
         description="Multiresolution cube queries over 2-D sensor grids")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, _, options) in COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--scenario", required=True)
         p.add_argument("--json", dest="json_path")
         p.add_argument("--seed", type=int)

@@ -67,6 +67,20 @@ class HierarchyConfig:
             level += 1
         return level
 
+    def junction_levels(self) -> np.ndarray:
+        """`junction_level` of every node as an int array indexed [y, x]."""
+        xs = np.arange(self.dims.width)
+        ys = np.arange(self.dims.height)
+        levels = np.zeros((self.dims.height, self.dims.width), dtype=np.int8)
+        for k in range(1, self.height + 1):
+            side = self.side(k)
+            ends_x = ((xs + 1) % side == 0) | (xs == self.dims.width - 1)
+            ends_y = ((ys + 1) % side == 0) | (ys == self.dims.height - 1)
+            # A level-k junction is a junction at every lower level too, so
+            # counting the levels whose runs end here gives the highest one.
+            levels += ends_y[:, None] & ends_x[None, :]
+        return levels
+
     def child_grid(self, cell: Cell) -> tuple[int, int, int]:
         """(child side length, columns, rows) of a cell's child-block grid;
         the last column and row are clipped at the cell's edge."""

@@ -16,19 +16,27 @@ that are forwarded as combined. Dropping the trailing partial-prefix slot
 yields the plain summary scheme ("simple" mode); redundant mode persists one
 extra slot to cheapen failure recovery.
 
-The simulation is a logical dataflow: any schedule that runs a node after
-its north, west and north-west neighbours produces identical results. The
-reference runs the nodes in row-major order, which is such a schedule: the
-north and north-west neighbours sit in the previous row, the west
-neighbour earlier in the same row.
+`node_step` is the per-node rule. Its combination `a + b - c + d`, with the
+carries zeroed at cell boundaries, is a 2-D prefix sum restarted in every
+cell, so the wave has a closed form: slot 1 is the in-level-1-cell prefix of
+the readings, and slot i is the in-level-i-cell prefix of the slot-(i-1)
+values at the level-(i-1) junctions, zero elsewhere. `run_construction`
+computes each level as one blockwise cumsum and builds a node's state when
+it is first read, then keeps it. The result equals applying `node_step` to
+every node after its north, west and north-west neighbours, in any such
+order; with float readings the sums may differ in the last bits, because
+the cumsum adds in another order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
-from .grid import Coord, GridValues
+from .grid import Coord, GridDims, GridValues
 from .hierarchy import HierarchyConfig
 
 
@@ -46,18 +54,93 @@ class NodeState:
     stored: tuple  # level values starting at level 1
 
 
+class _GridMapping(Mapping):
+    """Read-only mapping keyed by every grid coordinate, in row-major order."""
+
+    def __init__(self, dims: GridDims):
+        self.dims = dims
+
+    def __contains__(self, p) -> bool:
+        return isinstance(p, tuple) and len(p) == 2 and self.dims.contains(p)
+
+    def __getitem__(self, p: Coord):
+        if p not in self:
+            raise KeyError(p)
+        return self._at(int(p[0]), int(p[1]))
+
+    def __iter__(self) -> Iterator[Coord]:
+        return self.dims.coords()
+
+    def __len__(self) -> int:
+        return self.dims.width * self.dims.height
+
+
+class Counts(_GridMapping):
+    """Per-node packet counts over an int array indexed [y, x]."""
+
+    def __init__(self, counts: np.ndarray):
+        super().__init__(GridDims(counts.shape[1], counts.shape[0]))
+        self._counts = counts
+
+    def _at(self, x: int, y: int) -> int:
+        return int(self._counts[y, x])
+
+    def total(self) -> int:
+        return int(self._counts.sum())
+
+    def max(self) -> int:
+        return int(self._counts.max())
+
+
+class NodeStates(_GridMapping):
+    """Final node states over the slot arrays; a state is built on first
+    access and kept."""
+
+    def __init__(self, values: GridValues, levels: np.ndarray, slots: np.ndarray,
+                 extra: int):
+        super().__init__(values.dims)
+        self._values = values.array
+        self._levels = levels
+        self._slots = slots
+        self._extra = extra
+        self._built: dict[Coord, NodeState] = {}
+
+    def _at(self, x: int, y: int) -> NodeState:
+        state = self._built.get((x, y))
+        if state is None:
+            k = int(self._levels[y, x])
+            keep = min(k + self._extra, self._slots.shape[2])
+            state = NodeState((x, y), k, self._values[y, x].item(),
+                              tuple(self._slots[y, x, :keep].tolist()))
+            self._built[(x, y)] = state
+        return state
+
+    def _all(self) -> dict[Coord, NodeState]:
+        """Every state, built if not yet, in row-major order."""
+        if len(self._built) < len(self):
+            self._built = {(x, y): self._at(x, y) for x, y in self.dims.coords()}
+        return self._built
+
+    def items(self):
+        return self._all().items()
+
+
 @dataclass
 class SimStats:
-    sent: dict
-    received: dict
+    sent: Counts
+    received: Counts
 
     @property
     def total_messages(self) -> int:
-        return sum(self.sent.values())
+        return self.sent.total()
+
+    @property
+    def total_received(self) -> int:
+        return self.received.total()
 
     @property
     def max_received(self) -> int:
-        return max(self.received.values(), default=0)
+        return self.received.max()
 
 
 def junction_level(p: Coord, config: HierarchyConfig) -> int:
@@ -105,13 +188,29 @@ def node_step(state: NodeState, pa: Packet | None, pb: Packet | None,
     return new_state, Packet(state.coord, tuple(slots_out))
 
 
+def _cell_prefix(a: np.ndarray, side: int) -> np.ndarray:
+    """2-D prefix sums of a, restarted in every side x side block."""
+    rows, cols = a.shape
+    padded = np.pad(a, ((0, -rows % side), (0, -cols % side)))
+    blocks = padded.reshape(padded.shape[0] // side, side, padded.shape[1] // side, side)
+    prefix = blocks.cumsum(axis=1, dtype=a.dtype).cumsum(axis=3, dtype=a.dtype)
+    return prefix.reshape(padded.shape)[:rows, :cols]
+
+
 def run_construction(values: GridValues, config: HierarchyConfig,
                      mode: str = "ps", redundant: bool = False
-                     ) -> tuple[dict[Coord, NodeState], SimStats]:
+                     ) -> tuple[NodeStates, SimStats]:
     """Run the construction wave and return final node states plus stats.
 
-    Nodes run in row-major order, so every node's north, west and north-west
-    packets exist before it runs.
+    The slot arrays come from the closed form in the module docstring: one
+    zero-pad, block reshape and cumsum over both block axes per level, each
+    level from the one below. The states are a read-only mapping in
+    row-major order that builds a node's NodeState on first access and
+    keeps it; stored values are Python scalars. Integer readings give
+    exactly the values of `node_step` applied node by node; float readings
+    agree up to rounding, since the cumsum adds in another order. Every
+    node sends one packet and receives one from each existing north, west
+    and north-west neighbour, so the counts need no simulation.
 
     mode "ps" persists slots 1..k+1 per node (the prefix scheme); "simple"
     drops the trailing partial prefix and keeps only completed cell sums.
@@ -123,26 +222,27 @@ def run_construction(values: GridValues, config: HierarchyConfig,
     if config.dims != values.dims:
         raise ValidationError("config dims do not match values dims")
     extra = (1 if mode == "ps" else 0) + (1 if redundant else 0)
-    packets: dict[Coord, Packet] = {}
-    states: dict[Coord, NodeState] = {}
-    sent: dict[Coord, int] = {}
-    received: dict[Coord, int] = {}
-    for p in config.dims.coords():
-        x, y = p
-        pa = packets.get((x, y - 1))
-        pb = packets.get((x - 1, y))
-        pc = packets.get((x - 1, y - 1))
-        pre = NodeState(p, config.junction_level(p), values.at(p), ())
-        state, packet = node_step(pre, pa, pb, pc, config)
-        keep = min(state.junction_level + extra, config.height)
-        states[p] = NodeState(p, state.junction_level, state.local_value, packet.slots[:keep])
-        packets[p] = packet
-        sent[p] = 1
-        received[p] = sum(q is not None for q in (pa, pb, pc))
-    return states, SimStats(sent, received)
+    levels = config.junction_levels()
+    h, w = levels.shape
+    # Integer readings of any width are summed in int64, other readings at
+    # least as wide as the Python floats node_step would add.
+    kind = values.array.dtype.kind
+    dtype = np.int64 if kind in "biu" else np.result_type(values.array.dtype, np.float64)
+    slots = np.empty((h, w, config.height), dtype=dtype)
+    below = values.array.astype(dtype, copy=False)
+    for i in range(1, config.height + 1):
+        if i > 1:
+            below = np.where(levels >= i - 1, slots[:, :, i - 2], 0)
+        slots[:, :, i - 1] = _cell_prefix(below, config.side(i))
+    received = np.zeros((h, w), dtype=np.int8)
+    received[1:, :] += 1
+    received[:, 1:] += 1
+    received[1:, 1:] += 1
+    sent = np.broadcast_to(np.int8(1), (h, w))
+    return NodeStates(values, levels, slots, extra), SimStats(Counts(sent), Counts(received))
 
 
-def node_slot(states: dict[Coord, NodeState], p: Coord, level: int):
+def node_slot(states: Mapping[Coord, NodeState], p: Coord, level: int):
     """Stored level value at a node, or None if absent or not persisted."""
     state = states.get(p)
     if state is None:

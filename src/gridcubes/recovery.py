@@ -18,6 +18,7 @@ exactly as usual.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -73,7 +74,7 @@ def _chebyshev(a: Coord, b: Coord) -> int:
     return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
 
-def recover_node(states: dict[Coord, NodeState], failed: Coord, level: int,
+def recover_node(states: Mapping[Coord, NodeState], failed: Coord, level: int,
                  config: HierarchyConfig) -> Reconstruction:
     """Rebuild a failed node's stored level value from one neighbour square.
 
@@ -238,7 +239,7 @@ def _parent_block(config: HierarchyConfig, cell: Cell, slots, escalate):
     return value, [junction(i, j) for i, j in used], upper or Reconstruction(None, (), 0)
 
 
-def recover_junction(states: dict[Coord, NodeState], failed: Coord, level: int,
+def recover_junction(states: Mapping[Coord, NodeState], failed: Coord, level: int,
                      config: HierarchyConfig, redundant: bool = False) -> Reconstruction:
     """Rebuild V(cell) for the level-`level` cell whose junction failed.
 

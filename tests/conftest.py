@@ -4,8 +4,9 @@ Oracles here are deliberately independent of the implementation paths they
 check: corner classification is re-derived by scanning every lattice point,
 cover minimality by branch-and-bound exact cover, cut properties by
 enumerating all partial-node assignments, prefix-sum plan costs by exact
-cover over every single-cell piece, and prefix-sum answers by direct
-summation.
+cover over every single-cell piece, prefix-sum answers by direct
+summation, and the construction wave by applying the per-node protocol rule
+node by node.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 import pytest
 
 from gridcubes.grid import GridDims, GridValues, Rect, RectilinearRegion
-from gridcubes.hierarchy import CubeHierarchy, cell_of
+from gridcubes.hierarchy import CubeHierarchy, HierarchyConfig, cell_of
+from gridcubes.protocol import NodeState, Packet, node_step
 
 
 @pytest.fixture
@@ -271,3 +273,28 @@ def ps_min_cost_oracle(candidates, target: frozenset) -> int | None:
         return memo[residual]
 
     return rec(frozenset(target))
+
+
+def reference_construction(values: GridValues, config: HierarchyConfig,
+                           mode: str = "ps", redundant: bool = False):
+    """The construction wave as `node_step` applied node by node in row-major
+    order, which runs every node after its north, west and north-west
+    neighbours. Returns (states, sent, received), each a dict keyed by node."""
+    extra = (1 if mode == "ps" else 0) + (1 if redundant else 0)
+    packets: dict = {}
+    states: dict = {}
+    sent: dict = {}
+    received: dict = {}
+    for p in config.dims.coords():
+        x, y = p
+        pa = packets.get((x, y - 1))
+        pb = packets.get((x - 1, y))
+        pc = packets.get((x - 1, y - 1))
+        pre = NodeState(p, config.junction_level(p), values.at(p), ())
+        state, packet = node_step(pre, pa, pb, pc, config)
+        keep = min(state.junction_level + extra, config.height)
+        states[p] = NodeState(p, state.junction_level, state.local_value, packet.slots[:keep])
+        packets[p] = packet
+        sent[p] = 1
+        received[p] = sum(q is not None for q in (pa, pb, pc))
+    return states, sent, received

@@ -9,6 +9,8 @@ import pytest
 from gridcubes.cli import build_parser, main
 from gridcubes.scenario import load_scenario
 
+from conftest import reference_construction
+
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
 THREE_LEVEL = str(FIXTURES / "three_level.json")
@@ -135,6 +137,31 @@ def test_construct_single_node(tmp_path, capsys):
     code, out, _ = run(capsys, "construct", "--scenario", str(path))
     assert code == 0
     assert out.startswith("sent 1 received 0")
+
+
+@pytest.mark.parametrize("redundant", [False, True])
+@pytest.mark.parametrize("mode", ["simple", "ps"])
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_construct_dump_matches_the_reference_wave(tmp_path, capsys, fixture, mode, redundant):
+    path = str(FIXTURES / fixture)
+    scenario = load_scenario(path)
+    redundant = redundant or scenario.redundant
+    states, sent, received = reference_construction(scenario.values, scenario.config,
+                                                    mode, redundant)
+    totals = {"sent": sum(sent.values()), "received": sum(received.values()),
+              "max_received": max(received.values())}
+    expected = [f"sent {totals['sent']} received {totals['received']} "
+                f"max-received {totals['max_received']}"]
+    expected += [" ".join(str(v) for v in (x, y, st.junction_level, st.local_value) + st.stored)
+                 for (x, y), st in states.items()]
+    report_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "construct", "--scenario", path, "--mode", mode, "--dump",
+                       "--json", str(report_path), *(["--redundant"] if redundant else []))
+    assert code == 0
+    assert out.splitlines() == expected
+    report = json.loads(report_path.read_text())["construct"]
+    assert report == dict(totals, mode=mode, redundant=redundant)
+    assert all(type(report[key]) is int for key in totals)
 
 
 def test_recover_estimate(capsys):
@@ -306,6 +333,30 @@ def test_option_a_subcommand_does_not_read_is_a_usage_error(capsys, command, opt
         main(option_argv(command, ("--scenario", option)))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def abbreviated_command_lines() -> dict[str, list[str]]:
+    """Valid command lines with one option cut to a prefix: the two of the
+    worked example, then each option a subcommand reads less its last
+    letter."""
+    lines = {"plan --scen": ["plan", "--scen", THREE_LEVEL, "--region", "G"],
+             "plan --reg": ["plan", "--scenario", THREE_LEVEL, "--reg", "G"]}
+    for command, own in OWN_OPTIONS.items():
+        for option in COMMON_OPTIONS + own:
+            argv = option_argv(command, COMMON_OPTIONS + own)
+            argv[argv.index(option)] = option[:-1]
+            lines[f"{command} {option[:-1]}"] = argv
+    return lines
+
+
+ABBREVIATED = abbreviated_command_lines()
+
+
+@pytest.mark.parametrize("argv", ABBREVIATED.values(), ids=ABBREVIATED.keys())
+def test_an_abbreviated_option_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def readme_command_lines() -> list[list[str]]:

@@ -1,7 +1,10 @@
 """The planner paths work on region masks and summed-area tables only: a
 region built from rectangles never builds its explicit location set while
-it is planned, divided or answered from the prefix-sum cube."""
+it is planned, divided or answered from the prefix-sum cube. The
+construction wave works on slot arrays and builds no node state until one
+is read."""
 
+from gridcubes import protocol
 from gridcubes.cli import main
 from gridcubes.division import greedy_divide
 from gridcubes.flow import build_flow_graph, combined_plan, min_cut_plan
@@ -37,3 +40,27 @@ def test_plan_divide_and_ps_plan_never_build_cell_sets(monkeypatch):
     expected = naive_region_sum(vals, a)
     assert plan.value == combined.plans[0].value == ps_plan.value == expected
     assert sum(h.value(c) for c in cover.cells) == expected
+
+
+def refuse_state(*args):
+    raise AssertionError("a node state was built")
+
+
+def test_construction_at_1024_builds_no_node_state(monkeypatch):
+    dims = GridDims(1024, 1024)
+    vals = GridValues.random(dims, seed=5)
+    config = HierarchyConfig(dims, (4, 4, 4, 4, 4))
+    monkeypatch.setattr(protocol, "NodeState", refuse_state)
+    states, stats = protocol.run_construction(vals, config, mode="ps", redundant=True)
+    assert stats.total_messages == 1_048_576
+    assert stats.max_received == 3
+    monkeypatch.undo()
+    h = build_hierarchy(vals, config)
+    for level in range(3, 6):
+        side = config.side(level)
+        expected = h.level_array(level)
+        rows, cols = expected.shape
+        for j in range(rows):
+            for i in range(cols):
+                junction = ((i + 1) * side - 1, (j + 1) * side - 1)
+                assert protocol.node_slot(states, junction, level) == expected[j, i]

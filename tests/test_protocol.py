@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from gridcubes.errors import ValidationError
@@ -6,6 +9,8 @@ from gridcubes.hierarchy import HierarchyConfig, build_hierarchy
 from gridcubes.prefix import build_ps_cube
 from gridcubes.protocol import (NodeState, Packet, junction_level, node_slot,
                                 node_step, run_construction)
+
+from conftest import reference_construction
 
 
 def ones(w, h):
@@ -180,3 +185,56 @@ def test_anti_diagonal_schedule_matches_run_construction(w, h, fanouts, mode, re
         assert state.stored == packets[(x, y)].slots[:len(state.stored)]
         neighbours = [(x, y - 1), (x - 1, y), (x - 1, y - 1)]
         assert stats.received[(x, y)] == sum(n in packets for n in neighbours)
+
+
+@pytest.mark.parametrize("mode", ["simple", "ps"])
+@pytest.mark.parametrize("redundant", [False, True])
+@pytest.mark.parametrize("dtype", [int, float])
+@pytest.mark.parametrize("w,h,fanouts", [
+    (1, 1, (1,)), (1, 1, (2, 2)), (1, 7, (2, 2)), (9, 1, (2, 3)), (6, 5, (1, 2, 2)),
+    (7, 5, (3, 2)), (10, 9, (2, 2, 2)), (13, 11, (4, 2, 2)), (5, 8, (4,)), (16, 16, (2, 4))])
+def test_run_construction_matches_the_node_by_node_reference(w, h, fanouts, dtype, mode,
+                                                             redundant):
+    """Every state and both count maps equal the reference's, which applies
+    node_step node by node. Integer readings give exactly its Python ints.
+    Float readings agree within math.isclose: the slot arrays add by cumsum,
+    in another order than node_step's a + b - c + d, so the last bits may
+    differ."""
+    rng = random.Random(w * 100 + h)
+    rows = [[rng.randint(-9, 9) if dtype is int else rng.uniform(-100, 100)
+             for _ in range(w)] for _ in range(h)]
+    vals = GridValues.from_rows(rows, dtype=dtype)
+    cfg = HierarchyConfig(GridDims(w, h), fanouts)
+    states, stats = run_construction(vals, cfg, mode=mode, redundant=redundant)
+    ref_states, ref_sent, ref_received = reference_construction(vals, cfg, mode, redundant)
+    assert list(states) == list(ref_states) and len(states) == w * h
+    scale = sum(abs(v) for row in rows for v in row)
+    for p, ref in ref_states.items():
+        state = states[p]
+        assert (state.coord, state.junction_level, state.local_value) == \
+            (ref.coord, ref.junction_level, ref.local_value)
+        if dtype is int:
+            assert state.stored == ref.stored
+            assert all(type(v) is int for v in state.stored)
+        else:
+            assert len(state.stored) == len(ref.stored)
+            assert all(math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12 * scale)
+                       for a, b in zip(state.stored, ref.stored)), (p, state.stored, ref.stored)
+    assert dict(stats.sent) == ref_sent and dict(stats.received) == ref_received
+    assert stats.total_messages == sum(ref_sent.values())
+    assert stats.total_received == sum(ref_received.values())
+    assert stats.max_received == max(ref_received.values())
+
+
+def test_states_are_a_read_only_mapping_built_on_first_access():
+    vals = GridValues.random(GridDims(5, 4), seed=46)
+    states, stats = run_construction(vals, HierarchyConfig(GridDims(5, 4), (2, 2)))
+    assert states[(3, 2)] is states[(3, 2)]
+    assert states.get((5, 0)) is None and (0, -1) not in states and "x" not in states
+    assert stats.received.get((0, 4)) is None
+    with pytest.raises(KeyError):
+        states[(0, 4)]
+    with pytest.raises(TypeError):
+        states[(0, 0)] = None
+    alive = {p: s for p, s in states.items() if p != (1, 1)}
+    assert len(alive) == 19 and alive[(3, 2)] is states[(3, 2)]
