@@ -17,7 +17,7 @@ from fractions import Fraction
 from .division import greedy_divide
 from .errors import (BoundsError, ConfigError, GridCubesError, InfeasibleError,
                      ScenarioError, ValidationError)
-from .flow import QueryPlan, build_flow_graph, combined_plan, mark_failed, min_cut_plan
+from .flow import QueryPlan, build_flow_graph, combined_plan, min_cut_plan
 from .hierarchy import Cell, CubeHierarchy, color_tree
 from .prefix import build_ps_cube, ps_query_plan
 from .protocol import run_construction
@@ -90,15 +90,7 @@ def cmd_plan(scenario: Scenario, args, report: dict) -> int:
     trees = [color_tree(h, scenario.region(name)) for name in names]
     out = {"queries": [], "infeasible": False}
     try:
-        if len(trees) == 1:
-            g = mark_failed(build_flow_graph(trees[0]), failed) if failed \
-                else build_flow_graph(trees[0])
-            plans = [min_cut_plan(g, h)]
-            retrieval = plans[0].points()
-        else:
-            result = combined_plan(trees, h, failed_cells=failed)
-            plans = list(result.plans)
-            retrieval = set(result.retrieval)
+        result = combined_plan(trees, h, failed_cells=failed)
     except InfeasibleError as e:
         blocking = " ".join(sorted(c.label() for c in e.blocking))
         print(f"INFEASIBLE {blocking}")
@@ -107,15 +99,15 @@ def cmd_plan(scenario: Scenario, args, report: dict) -> int:
             e.blocking, key=lambda c: (c.level, c.bounds.y0, c.bounds.x0))]
         report["plan"] = out
         return EXIT_OK
-    for name, plan in zip(names, plans):
+    for name, plan in zip(names, result.plans):
         print(f"query {name}: {_plan_lines(plan)}")
         out["queries"].append({
             "region": name, "size": plan.size, "value": _value_json(plan.value),
             "terms": [dict(_cell_json(c), sign=s) for c, s in plan.terms]})
-    print(f"retrieval set: {len(retrieval)} points")
-    out["retrieval_size"] = len(retrieval)
+    print(f"retrieval set: {len(result.retrieval)} points")
+    out["retrieval_size"] = len(result.retrieval)
     out["retrieval"] = [_cell_json(c) for c in sorted(
-        retrieval, key=lambda c: (-c.level, c.bounds.y0, c.bounds.x0))]
+        result.retrieval, key=lambda c: (-c.level, c.bounds.y0, c.bounds.x0))]
     report["plan"] = out
     return EXIT_OK
 

@@ -416,7 +416,8 @@ def combined_plan(trees: Sequence[HierarchyTree], h: CubeHierarchy,
     its own subgraph. Sharing a partial node across queries couples their cut
     decisions, which on rare inputs costs more than planning each query alone,
     so the independently-optimized union is kept as a fallback and the smaller
-    retrieval set wins.
+    retrieval set wins. A single tree's merged graph is its own graph, so
+    the fallback could not win and is skipped.
     """
     failed = frozenset(failed_cells)
     g = _build_graph(list(trees))
@@ -425,6 +426,8 @@ def combined_plan(trees: Sequence[HierarchyTree], h: CubeHierarchy,
     value, reach, crossing, blocking = _solve(g)
     _check_feasible(g, value, blocking)
     plans, retrieval = _extract_plans(g, h, reach, crossing)
+    if len(trees) == 1:
+        return CombinedResult(tuple(plans), frozenset(retrieval), value, from_combined=True)
 
     individual_plans = []
     individual_points: set[Cell] = set()

@@ -5,8 +5,10 @@ Fk x Fk level-(k-1) cells. Cells at the right/bottom edge are clipped when the
 fanouts do not divide the grid dimensions, which keeps every level an exact
 tiling. Each cell's summary is stored at its junction, the lower-right corner
 of its bounds. Individual grid locations act as degenerate level-0 cells.
-HierarchyConfig is the one place that says which node is a level-k junction
-and where a cell's child blocks and their junctions lie.
+Each layout decision is written once, here: HierarchyConfig holds the level
+sides, which node is a level-k junction, and the clipped block rule
+(`block_cells`) that `cell_of`, `cells_of`, `children` and `child_junction`
+make their cells with. `cell_prefix` is the one in-cell 2-D prefix routine.
 
 The summaries of one level form one array in block layout, built from the
 level below by a zero-pad, a reshape and a sum; Cell objects are made only
@@ -19,9 +21,10 @@ threads.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
+from operator import mul
 from typing import Iterator
 
 import numpy as np
@@ -34,6 +37,7 @@ from .grid import Coord, GridDims, GridValues, Rect, RectilinearRegion
 class HierarchyConfig:
     dims: GridDims
     fanouts: tuple[int, ...]
+    _sides: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.fanouts:
@@ -41,6 +45,7 @@ class HierarchyConfig:
         if self.fanouts[0] < 1 or any(f < 2 for f in self.fanouts[1:]):
             raise ConfigError(f"fanouts must satisfy F1>=1 and Fk>=2 for k>1: {self.fanouts}")
         object.__setattr__(self, "fanouts", tuple(int(f) for f in self.fanouts))
+        object.__setattr__(self, "_sides", tuple(accumulate(self.fanouts, mul, initial=1)))
 
     @property
     def height(self) -> int:
@@ -48,7 +53,7 @@ class HierarchyConfig:
 
     def side(self, level: int) -> int:
         """Side length of a level-k cell in grid units (level 0 -> 1)."""
-        return math.prod(self.fanouts[:level])
+        return self._sides[level]
 
     def junction_level(self, p: Coord) -> int:
         """Highest level whose cell has p as its lower-right corner (0 if none).
@@ -72,8 +77,7 @@ class HierarchyConfig:
         xs = np.arange(self.dims.width)
         ys = np.arange(self.dims.height)
         levels = np.zeros((self.dims.height, self.dims.width), dtype=np.int8)
-        for k in range(1, self.height + 1):
-            side = self.side(k)
+        for side in self._sides[1:]:
             ends_x = ((xs + 1) % side == 0) | (xs == self.dims.width - 1)
             ends_y = ((ys + 1) % side == 0) | (ys == self.dims.height - 1)
             # A level-k junction is a junction at every lower level too, so
@@ -81,19 +85,27 @@ class HierarchyConfig:
             levels += ends_y[:, None] & ends_x[None, :]
         return levels
 
+    def block_cells(self, level: int, cols: range, rows: range) -> list[Cell]:
+        """The level-k cells in block columns `cols` and rows `rows`, row-major,
+        clipped at the grid edge; since cells nest, a child block then ends
+        exactly at its parent's edge."""
+        side = self._sides[level]
+        xs = [(i * side, min(i * side + side, self.dims.width) - 1) for i in cols]
+        ys = [(j * side, min(j * side + side, self.dims.height) - 1) for j in rows]
+        return [Cell(level, Rect(x0, y0, x1, y1)) for y0, y1 in ys for x0, x1 in xs]
+
     def child_grid(self, cell: Cell) -> tuple[int, int, int]:
         """(child side length, columns, rows) of a cell's child-block grid;
         the last column and row are clipped at the cell's edge."""
-        side = self.side(cell.level - 1)
+        side = self._sides[cell.level - 1]
         b = cell.bounds
         return side, (b.width + side - 1) // side, (b.height + side - 1) // side
 
     def child_junction(self, cell: Cell, i: int, j: int) -> Coord:
         """Junction of the child block in column i, row j of a cell."""
-        side = self.side(cell.level - 1)
-        b = cell.bounds
-        return (min(b.x0 + (i + 1) * side, b.x1 + 1) - 1,
-                min(b.y0 + (j + 1) * side, b.y1 + 1) - 1)
+        side = self._sides[cell.level - 1]
+        i, j = cell.bounds.x0 // side + i, cell.bounds.y0 // side + j
+        return self.block_cells(cell.level - 1, range(i, i + 1), range(j, j + 1))[0].junction
 
 
 @dataclass(frozen=True)
@@ -113,36 +125,31 @@ class Cell:
         return f"L{self.level}({self.bounds.x0},{self.bounds.y0})"
 
 
-def _cells_for_level(config: HierarchyConfig, level: int) -> list[Cell]:
-    side = config.side(level)
-    w, h = config.dims.width, config.dims.height
-    cells = []
-    for y0 in range(0, h, side):
-        for x0 in range(0, w, side):
-            cells.append(Cell(level, Rect(x0, y0, min(x0 + side, w) - 1, min(y0 + side, h) - 1)))
-    return cells
-
-
 def cell_of(config: HierarchyConfig, level: int, p: Coord) -> Cell:
     """The level-k cell containing grid location p (level 0 is p itself)."""
     if not config.dims.contains(p):
         raise BoundsError(f"{p} outside grid {config.dims}")
-    if level == 0:
-        return Cell(0, Rect(p[0], p[1], p[0], p[1]))
     side = config.side(level)
-    x0 = (p[0] // side) * side
-    y0 = (p[1] // side) * side
-    return Cell(level, Rect(x0, y0,
-                            min(x0 + side, config.dims.width) - 1,
-                            min(y0 + side, config.dims.height) - 1))
+    i, j = p[0] // side, p[1] // side
+    return config.block_cells(level, range(i, i + 1), range(j, j + 1))[0]
+
+
+def cell_prefix(a: np.ndarray, side: int) -> np.ndarray:
+    """2-D prefix sums of a, restarted in every side x side block, in
+    numpy's cumsum dtype (narrow integers add in the platform integer)."""
+    rows, cols = a.shape
+    padded = np.pad(a, ((0, -rows % side), (0, -cols % side)))
+    blocks = padded.reshape(padded.shape[0] // side, side, padded.shape[1] // side, side)
+    return blocks.cumsum(axis=1).cumsum(axis=3).reshape(padded.shape)[:rows, :cols]
 
 
 class CubeHierarchy:
     """Built cube: one summary array per level, cells made on demand.
 
     `level_array(k)[j, i]` is the summary of the level-k cell in block row j
-    and block column i; the arrays keep the dtype of the readings. `levels`,
-    `cells_of` and `summaries` build Cell objects only when asked for.
+    and block column i; the arrays keep the dtype of the readings.
+    `levels`, `cells_of`, `summaries` and `prefix_array` are built only
+    when asked for.
     """
 
     def __init__(self, values: GridValues, config: HierarchyConfig,
@@ -150,7 +157,7 @@ class CubeHierarchy:
         self.values = values
         self.config = config
         self._arrays = arrays
-        self._sides = tuple(config.side(k) for k in range(config.height + 1))
+        self._prefixes: dict[int, np.ndarray] = {}
         self._cells: dict[int, tuple[Cell, ...]] = {}
         self._summaries: dict[Cell, int] | None = None
 
@@ -166,9 +173,20 @@ class CubeHierarchy:
         """Summaries of the level-k cells in block layout (level 0: readings)."""
         return self.values.array if level == 0 else self._arrays[level - 1]
 
+    def prefix_array(self, level: int) -> np.ndarray:
+        """Read-only in-cell prefix sums of the level-(k-1) summaries,
+        restarted at every level-k cell, laid out as `level_array(k - 1)`."""
+        prefix = self._prefixes.get(level)
+        if prefix is None:
+            prefix = cell_prefix(self.level_array(level - 1), self.config.fanouts[level - 1])
+            prefix.setflags(write=False)
+            self._prefixes[level] = prefix
+        return prefix
+
     def cells_of(self, level: int) -> tuple[Cell, ...]:
         if level not in self._cells:
-            self._cells[level] = tuple(_cells_for_level(self.config, level))
+            rows, cols = self.level_array(level).shape
+            self._cells[level] = tuple(self.config.block_cells(level, range(cols), range(rows)))
         return self._cells[level]
 
     @property
@@ -192,24 +210,19 @@ class CubeHierarchy:
         return cell_of(self.config, level, p)
 
     def children(self, cell: Cell) -> list[Cell]:
-        """The level-(k-1) cells tiling a level-k cell (grid points for k=1)."""
+        """The level-(k-1) cells tiling a level-k cell, row-major (grid
+        points for k=1)."""
         if cell.level == 0:
             return []
-        if cell.level == 1:
-            return [Cell(0, Rect(x, y, x, y)) for (x, y) in cell.bounds.coords()]
-        side = self._sides[cell.level - 1]
+        side = self.config.side(cell.level - 1)
         b = cell.bounds
-        out = []
-        for y0 in range(b.y0, b.y1 + 1, side):
-            for x0 in range(b.x0, b.x1 + 1, side):
-                out.append(Cell(cell.level - 1,
-                                Rect(x0, y0, min(x0 + side - 1, b.x1), min(y0 + side - 1, b.y1))))
-        return out
+        return self.config.block_cells(cell.level - 1, range(b.x0 // side, b.x1 // side + 1),
+                                       range(b.y0 // side, b.y1 // side + 1))
 
     def value(self, cell: Cell) -> int:
         if cell.level == 0:
             return self.values.at((cell.bounds.x0, cell.bounds.y0))
-        side = self._sides[cell.level]
+        side = self.config.side(cell.level)
         return self._arrays[cell.level - 1][cell.bounds.y0 // side, cell.bounds.x0 // side].item()
 
     def cells_at(self, p: Coord) -> list[Cell]:

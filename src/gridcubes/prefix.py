@@ -5,7 +5,9 @@ base values dominated by that position, anchored at the cell's upper-left
 corner. Level-1 tables run at grid granularity; a level-k table's base values
 are the totals of its level-(k-1) child cells, so its entries live at the
 child junction positions. The bottom-right entry of every table equals the
-plain cube summary of that cell.
+plain cube summary of that cell. A cell's table is a read-only slice of its
+level's prefix array (`CubeHierarchy.prefix_array`), which holds the in-cell
+prefixes of every cell of the level at once.
 
 A rectangle inside one cell costs at most four entries. Arbitrary rectilinear
 regions expand into one signed entry per region corner (corners falling on
@@ -91,17 +93,16 @@ class PrefixSumCube:
 
 
 def build_ps_cube(values: GridValues, config: HierarchyConfig) -> PrefixSumCube:
-    """Each cell's table is the 2-D prefix of its slice of the child level's
-    summary array (the readings for level 1)."""
+    """Each cell's table is its slice of the level's prefix array: the 2-D
+    prefix of its children's summaries (the readings for level 1)."""
     h = build_hierarchy(values, config)
     tables: dict[Cell, np.ndarray] = {}
     for level in range(1, config.height + 1):
-        children = h.level_array(level - 1)
+        prefix = h.prefix_array(level)
         side = config.side(level - 1)
         for cell in h.cells_of(level):
             b = cell.bounds
-            base = children[b.y0 // side:b.y1 // side + 1, b.x0 // side:b.x1 // side + 1]
-            tables[cell] = base.cumsum(axis=0).cumsum(axis=1)
+            tables[cell] = prefix[b.y0 // side:b.y1 // side + 1, b.x0 // side:b.x1 // side + 1]
     return PrefixSumCube(h, tables)
 
 
@@ -169,21 +170,18 @@ def _fits_in_cell(ps: PrefixSumCube, region_cells: frozenset[Coord], level: int)
 
 
 def _block_region(ps: PrefixSumCube, cell: Cell, region_cells: frozenset[Coord]):
-    """Region re-expressed in child-block units, or None if not aligned."""
-    side, cols, rows = ps._child_grid(cell)
+    """Region re-expressed in child-block units, or None if not aligned.
+
+    The region lies inside the blocks it touches, so it is aligned exactly
+    when their total area is its size.
+    """
+    side, cols, _ = ps._child_grid(cell)
     b = cell.bounds
-    blocks: set[Coord] = set()
-    for x, y in region_cells:
-        blocks.add(((x - b.x0) // side, (y - b.y0) // side))
-    covered = set()
-    for ci, cj in blocks:
-        x0 = b.x0 + ci * side
-        y0 = b.y0 + cj * side
-        covered.update((x, y) for x in range(x0, min(x0 + side, b.x1 + 1))
-                       for y in range(y0, min(y0 + side, b.y1 + 1)))
-    if covered != set(region_cells):
+    blocks = frozenset(((x - b.x0) // side, (y - b.y0) // side) for x, y in region_cells)
+    children = ps.hierarchy.children(cell)
+    if sum(children[cj * cols + ci].area for ci, cj in blocks) != len(region_cells):
         return None
-    return frozenset(blocks)
+    return blocks
 
 
 def _emit_scope(ps: PrefixSumCube, cell: Cell, weights: dict[Coord, int]):
@@ -197,11 +195,12 @@ def _emit_scope(ps: PrefixSumCube, cell: Cell, weights: dict[Coord, int]):
     return out
 
 
-def _fragment_pieces(ps: PrefixSumCube, region_cells: frozenset[Coord]):
-    """Split a region into single-scope pieces: [(scope cell, cells, points)]."""
+def _fragment_points(ps: PrefixSumCube, region_cells: frozenset[Coord]):
+    """Signed points for one region, split along cell boundaries into pieces
+    that each lie in one cell's scope."""
     if not region_cells:
         return []
-    split_level = None
+    split_level = ps.config.height  # spans several top-level cells
     for level in range(1, ps.config.height + 1):
         cell = _fits_in_cell(ps, region_cells, level)
         if cell is None:
@@ -209,28 +208,18 @@ def _fragment_pieces(ps: PrefixSumCube, region_cells: frozenset[Coord]):
         if level == 1:
             b = cell.bounds
             units = frozenset((x - b.x0, y - b.y0) for x, y in region_cells)
-            return [(cell, region_cells, _emit_scope(ps, cell, corner_weights(units)))]
-        units = _block_region(ps, cell, region_cells)
-        if units is None:
-            split_level = level - 1  # fits but misaligned: refine granularity
-            break
-        return [(cell, region_cells, _emit_scope(ps, cell, corner_weights(units)))]
-    if split_level is None:
-        split_level = ps.config.height  # spans several top-level cells
+        else:
+            units = _block_region(ps, cell, region_cells)
+        if units is not None:
+            return _emit_scope(ps, cell, corner_weights(units))
+        split_level = level - 1  # fits but misaligned: refine granularity
+        break
     pieces: dict[Cell, set[Coord]] = {}
     for p in region_cells:
         pieces.setdefault(ps.hierarchy.cell_at(split_level, p), set()).add(p)
     out = []
     for piece_cell in sorted(pieces, key=lambda c: (c.bounds.y0, c.bounds.x0)):
-        out.extend(_fragment_pieces(ps, frozenset(pieces[piece_cell])))
-    return out
-
-
-def _expand_fragment(ps: PrefixSumCube, region_cells: frozenset[Coord]):
-    """Signed points for one region, recursing into cell-boundary fragments."""
-    out = []
-    for _, _, points in _fragment_pieces(ps, region_cells):
-        out.extend(points)
+        out.extend(_fragment_points(ps, frozenset(pieces[piece_cell])))
     return out
 
 
@@ -244,7 +233,7 @@ def rectilinear_sum(ps: PrefixSumCube, region: RectilinearRegion):
     """
     if not region.within(ps.hierarchy.dims):
         raise BoundsError("region extends outside the grid")
-    points = _expand_fragment(ps, region.cells)
+    points = _fragment_points(ps, region.cells)
     value = sum(w * ps.entry(p) for p, w in points)
     return value, points
 

@@ -21,11 +21,15 @@ carries zeroed at cell boundaries, is a 2-D prefix sum restarted in every
 cell, so the wave has a closed form: slot 1 is the in-level-1-cell prefix of
 the readings, and slot i is the in-level-i-cell prefix of the slot-(i-1)
 values at the level-(i-1) junctions, zero elsewhere. `run_construction`
-computes each level as one blockwise cumsum and builds a node's state when
-it is first read, then keeps it. The result equals applying `node_step` to
-every node after its north, west and north-west neighbours, in any such
-order; with float readings the sums may differ in the last bits, because
-the cumsum adds in another order.
+computes each level with `hierarchy.cell_prefix`, the in-cell prefix
+routine the cube's prefix arrays use too, and builds a node's state when
+it is first read, then keeps it. The routine is shared but its input is
+not: each slot level is computed from the wave's own level below, never
+from the cube's summaries, so the construction stays an independent
+computation of what the cube holds. The result equals applying
+`node_step` to every node after its north, west and north-west neighbours,
+in any such order; with float readings the sums may differ in the last
+bits, because the cumsum adds in another order.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .grid import Coord, GridDims, GridValues
-from .hierarchy import HierarchyConfig
+from .hierarchy import HierarchyConfig, cell_prefix
 
 
 @dataclass(frozen=True)
@@ -188,15 +192,6 @@ def node_step(state: NodeState, pa: Packet | None, pb: Packet | None,
     return new_state, Packet(state.coord, tuple(slots_out))
 
 
-def _cell_prefix(a: np.ndarray, side: int) -> np.ndarray:
-    """2-D prefix sums of a, restarted in every side x side block."""
-    rows, cols = a.shape
-    padded = np.pad(a, ((0, -rows % side), (0, -cols % side)))
-    blocks = padded.reshape(padded.shape[0] // side, side, padded.shape[1] // side, side)
-    prefix = blocks.cumsum(axis=1, dtype=a.dtype).cumsum(axis=3, dtype=a.dtype)
-    return prefix.reshape(padded.shape)[:rows, :cols]
-
-
 def run_construction(values: GridValues, config: HierarchyConfig,
                      mode: str = "ps", redundant: bool = False
                      ) -> tuple[NodeStates, SimStats]:
@@ -233,7 +228,7 @@ def run_construction(values: GridValues, config: HierarchyConfig,
     for i in range(1, config.height + 1):
         if i > 1:
             below = np.where(levels >= i - 1, slots[:, :, i - 2], 0)
-        slots[:, :, i - 1] = _cell_prefix(below, config.side(i))
+        slots[:, :, i - 1] = cell_prefix(below, config.side(i))
     received = np.zeros((h, w), dtype=np.int8)
     received[1:, :] += 1
     received[:, 1:] += 1

@@ -216,27 +216,28 @@ def _parent_block(config: HierarchyConfig, cell: Cell, slots, escalate):
     level = cell.level
     parent = cell_of(config, level + 1, cell.junction)
     side, cols, rows = config.child_grid(parent)
-    junction = partial(config.child_junction, parent)
+    i0, j0 = parent.bounds.x0 // side, parent.bounds.y0 // side
+    junctions = [c.junction for c in config.block_cells(level, range(i0, i0 + cols),
+                                                         range(j0, j0 + rows))]
     slot = slots(parent)
     corner = (cols - 1, rows - 1)
-    target = ((cell.bounds.x0 - parent.bounds.x0) // side,
-              (cell.bounds.y0 - parent.bounds.y0) // side)
+    target = (cell.bounds.x0 // side - i0, cell.bounds.y0 // side - j0)
     upper = None
 
     def b_of(i, j):
         if (i, j) == corner and upper is not None:
             return upper.value
-        return slot(junction(i, j), level + 1)
+        return slot(junctions[j * cols + i], level + 1)
 
     def child_of(i, j):
-        return slot(junction(i, j), level)
+        return slot(junctions[j * cols + i], level)
 
     value, used = _linear_block_solve(b_of, child_of, cols, rows, target)
     if value is None and b_of(*corner) is None:
         upper = escalate(parent)
         if upper is not None:
             value, used = _linear_block_solve(b_of, child_of, cols, rows, target)
-    return value, [junction(i, j) for i, j in used], upper or Reconstruction(None, (), 0)
+    return value, [junctions[j * cols + i] for i, j in used], upper or Reconstruction(None, (), 0)
 
 
 def recover_junction(states: Mapping[Coord, NodeState], failed: Coord, level: int,
@@ -350,12 +351,11 @@ def _cell_readable(h: CubeHierarchy, cell: Cell, area: frozenset[Coord]) -> int 
         return None
 
     def slots(parent):
-        side, cols, rows = h.config.child_grid(parent)
-        i0, j0 = parent.bounds.x0 // side, parent.bounds.y0 // side
-        kids = h.level_array(cell.level)[j0:j0 + rows, i0:i0 + cols]
-        stored = {cell.level: kids, parent.level: kids.cumsum(axis=0).cumsum(axis=1)}
+        side = h.config.side(cell.level)
+        stored = {cell.level: h.level_array(cell.level),
+                  parent.level: h.prefix_array(parent.level)}
         return lambda p, k: (None if p in area
-                             else stored[k][p[1] // side - j0, p[0] // side - i0].item())
+                             else stored[k][p[1] // side, p[0] // side].item())
 
     def escalate(parent):
         reads = _cell_readable(h, parent, area)
@@ -387,8 +387,6 @@ def _components(area: frozenset[Coord]) -> list[frozenset[Coord]]:
 
 def _exact_over(h: CubeHierarchy, region: RectilinearRegion, failed: set[Cell]) -> tuple[object, int]:
     """Exact sum over an all-alive region by its min-cut plan."""
-    if not region:
-        return 0, 0
     # Every grey cell of an all-alive region has its junction inside the
     # region, so its summary is readable: the cut reading exactly the maximal
     # grey cells is finite and min_cut_plan cannot raise InfeasibleError.
@@ -438,8 +436,7 @@ def recover_region(h: CubeHierarchy, failures: FailureSet,
             for c in cells:
                 covered.update(c.bounds.coords())
             grown = frozenset(area & covered)
-            cell_reads = [_cell_readable(h, c, area) for c in sorted(
-                cells, key=lambda c: (c.bounds.y0, c.bounds.x0))]
+            cell_reads = [_cell_readable(h, c, area) for c in cells]
             if any(r is None for r in cell_reads):
                 continue
             value = sum(h.value(c) for c in cells)

@@ -135,6 +135,12 @@ def _int(value, context) -> int:
         raise ScenarioError(f"{context} must be an integer, got {value!r}") from None
 
 
+def _unique(name: str, taken, kind: str) -> str:
+    if name in taken:
+        raise ScenarioError(f"{kind} name {name!r} used twice", kind="validation")
+    return name
+
+
 def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     try:
         with open(path) as fh:
@@ -174,19 +180,22 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
 
     regions = {}
     for entry in _list(raw.get("regions", []), "regions"):
-        name = _require(entry, "name", "region", str)
+        name = _unique(_require(entry, "name", "region", str), regions, "region")
         rects = _list(_require(entry, "rects", f"region {name!r}"), f"rects of {name!r}", list)
         if not all(len(r) == 4 and all(isinstance(v, int) for v in r) for r in rects):
             raise ScenarioError(f"each rect of {name!r} must be four integers x0,y0,x1,y1")
         regions[name] = region_from_rectangles(
             [((r[0], r[1]), (r[2], r[3])) for r in rects], dims)
 
-    failures = {_require(e, "name", "failure", str):
-                _list(_require(e, "fail", "failure"), "failure specs", str)
-                for e in _list(raw.get("failures", []), "failures")}
-    queries = {_require(e, "name", "query", str):
-               _list(_require(e, "regions", "query"), "query regions", str)
-               for e in _list(raw.get("queries", []), "queries")}
+    failures = {}
+    for e in _list(raw.get("failures", []), "failures"):
+        name = _unique(_require(e, "name", "failure", str), failures, "failure")
+        failures[name] = _list(_require(e, "fail", "failure"), "failure specs", str)
+    queries = {}
+    for e in _list(raw.get("queries", []), "queries"):
+        # Queries and regions share the --region namespace.
+        name = _unique(_require(e, "name", "query", str), regions | queries, "region or query")
+        queries[name] = _list(_require(e, "regions", "query"), "query regions", str)
     for name, members in queries.items():
         for member in members:
             if member not in regions:

@@ -282,9 +282,17 @@ def _malformed(**changes):
     _malformed(queries=[{"name": "q", "regions": [["R"]]}]),
     _malformed(failures=[{"name": "f", "fail": "node:0,0"}]),
     _malformed(aliases={"a": 5}),
+    _malformed(regions=[{"name": "R", "rects": [[0, 0, 1, 1]]},
+                        {"name": "R", "rects": [[2, 2, 3, 3]]}]),
+    _malformed(queries=[{"name": "R", "regions": ["R"]}]),
+    _malformed(queries=[{"name": "q", "regions": ["R"]}, {"name": "q", "regions": ["R"]}]),
+    _malformed(failures=[{"name": "f", "fail": ["node:0,0"]},
+                         {"name": "f", "fail": ["node:1,1"]}]),
 ], ids=["failure-without-fail", "query-without-regions", "short-rect", "string-in-rect",
         "aliases-list", "string-fanout", "top-level-list", "string-width", "random-not-object",
-        "string-values", "list-name", "list-query-member", "fail-not-list", "alias-not-string"])
+        "string-values", "list-name", "list-query-member", "fail-not-list", "alias-not-string",
+        "region-named-twice", "query-named-like-region", "query-named-twice",
+        "failure-named-twice"])
 def test_malformed_scenario_exits_4(tmp_path, capsys, scenario):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario))

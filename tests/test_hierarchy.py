@@ -5,7 +5,8 @@ import pytest
 
 from gridcubes.errors import ConfigError
 from gridcubes.grid import GridDims, GridValues, Rect, RectilinearRegion, region_from_rectangles
-from gridcubes.hierarchy import Cell, Color, HierarchyConfig, build_hierarchy, color_tree
+from gridcubes.hierarchy import (Cell, Color, HierarchyConfig, build_hierarchy, cell_of,
+                                 color_tree)
 
 from conftest import naive_region_sum, random_region
 
@@ -199,16 +200,30 @@ def test_level_arrays_equal_rect_sums(width, height, fanouts):
     assert h.level_array(0) is vals.array
 
 
-@pytest.mark.parametrize("width,height,fanouts", CLIPPED)
+@pytest.mark.parametrize("width,height,fanouts",
+                         CLIPPED + [(1, 9, (2, 2)), (9, 1, (3, 2)), (7, 5, (1, 3))])
 def test_lazy_levels_and_summaries_equal_eager_build(width, height, fanouts):
+    # Besides the clipped grids: a single column, a single row and F1 = 1.
     dims = GridDims(width, height)
+    config = HierarchyConfig(dims, fanouts)
     vals = GridValues.random(dims, seed=height)
-    h = build_hierarchy(vals, HierarchyConfig(dims, fanouts))
+    h = build_hierarchy(vals, config)
     levels = eager_levels(dims, fanouts)
     assert h.top_cells == levels[-1]
     assert h.levels == levels
     assert all(h.cells_of(k) == levels[k - 1] for k in range(1, len(fanouts) + 1))
     assert h.summaries == {c: vals.rect_sum(c.bounds) for cells in levels for c in cells}
+    # children() is the eager level below inside the cell, in row-major order.
+    below = (tuple(Cell(0, Rect(x, y, x, y)) for x, y in dims.coords()),) + levels
+    for k, cells in enumerate(levels, start=1):
+        for cell in cells:
+            assert h.children(cell) == [c for c in below[k - 1]
+                                        if cell.bounds.contains_rect(c.bounds)]
+    assert all(h.children(c) == [] for c in below[0])
+    for p in dims.coords():
+        for k in range(len(fanouts) + 1):
+            cell = cell_of(config, k, p)
+            assert cell.level == k and cell in below[k] and cell.bounds.contains_point(p)
 
 
 def test_float_readings_keep_float64_level_arrays():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gridcubes.errors import BoundsError, ValidationError
@@ -44,21 +45,33 @@ def test_all_zero_grid():
     assert all((t == 0).all() for t in ps.tables.values())
 
 
-def test_ps_recurrence_and_oracle(rng):
-    vals, ps = random_cube(8, 8, (4, 2), seed=21)
-    arr = vals.array
-    for point in ps.points():
-        c = point.covered
-        assert ps.entry(point) == arr[c.y0:c.y1 + 1, c.x0:c.x1 + 1].sum()
-    for cell in ps.hierarchy.cells_of(1):
-        t = ps.tables[cell]
-        b = cell.bounds
-        for j in range(b.height):
-            for i in range(b.width):
-                up = t[j - 1, i] if j else 0
-                left = t[j, i - 1] if i else 0
-                diag = t[j - 1, i - 1] if i and j else 0
-                assert t[j, i] == arr[b.y0 + j, b.x0 + i] + up + left - diag
+def test_ps_recurrence_and_oracle():
+    # 11x7 clips the right and bottom cells of both levels; int32 readings
+    # still give int64 tables.
+    for w, h, fanouts, dtype in [(8, 8, (4, 2), np.int64), (11, 7, (2, 3), np.int64),
+                                 (11, 7, (2, 3), np.int32)]:
+        dims = GridDims(w, h)
+        vals = GridValues(dims, GridValues.random(dims, seed=21).array.astype(dtype))
+        ps = build_ps_cube(vals, HierarchyConfig(dims, fanouts))
+        arr = vals.array
+        for point in ps.points():
+            c = point.covered
+            assert ps.entry(point) == arr[c.y0:c.y1 + 1, c.x0:c.x1 + 1].sum()
+        for level in range(1, len(fanouts) + 1):
+            base = ps.hierarchy.level_array(level - 1)
+            side = ps.config.side(level - 1)
+            for cell in ps.hierarchy.cells_of(level):
+                t = ps.tables[cell]
+                b = cell.bounds
+                _, cols, rows = ps._child_grid(cell)
+                assert t.dtype == np.int64 and t.shape == (rows, cols)
+                for j in range(rows):
+                    for i in range(cols):
+                        up = t[j - 1, i] if j else 0
+                        left = t[j, i - 1] if i else 0
+                        diag = t[j - 1, i - 1] if i and j else 0
+                        child = base[b.y0 // side + j, b.x0 // side + i]
+                        assert t[j, i] == child + up + left - diag
 
 
 def test_bottom_right_links_to_plain_summaries():
