@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .division import greedy_divide
 from .errors import (BoundsError, ConfigError, GridCubesError, InfeasibleError,
@@ -215,7 +216,9 @@ OPTIONS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once: argparse copies an `append` default before adding to it."""
     parser = argparse.ArgumentParser(
         prog="gridcubes", allow_abbrev=False,
         description="Multiresolution cube queries over 2-D sensor grids")

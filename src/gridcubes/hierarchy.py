@@ -6,9 +6,10 @@ fanouts do not divide the grid dimensions, which keeps every level an exact
 tiling. Each cell's summary is stored at its junction, the lower-right corner
 of its bounds. Individual grid locations act as degenerate level-0 cells.
 Each layout decision is written once, here: HierarchyConfig holds the level
-sides, which node is a level-k junction, and the clipped block rule
-(`block_cells`) that `cell_of`, `cells_of`, `children` and `child_junction`
-make their cells with. `cell_prefix` is the one in-cell 2-D prefix routine.
+sides, the junction levels of all nodes as one array (`junction_levels`,
+which `junction_level` reads), and the clipped block rule (`block_cells`)
+that `cell_of`, `cells_of`, `children` and `child_junction` make their cells
+with. `cell_prefix` is the one in-cell 2-D prefix routine.
 
 The summaries of one level form one array in block layout, built from the
 level below by a zero-pad, a reshape and a sum; Cell objects are made only
@@ -38,6 +39,7 @@ class HierarchyConfig:
     dims: GridDims
     fanouts: tuple[int, ...]
     _sides: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _junctions: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.fanouts:
@@ -56,34 +58,28 @@ class HierarchyConfig:
         return self._sides[level]
 
     def junction_level(self, p: Coord) -> int:
-        """Highest level whose cell has p as its lower-right corner (0 if none).
-
-        A level-k junction ends a side-long run or the grid in both axes; it
-        then ends one at every lower level too.
-        """
-        x, y = p
-        last_x, last_y = self.dims.width - 1, self.dims.height - 1
-        level, side = 0, 1
-        for f in self.fanouts:
-            side *= f
-            if not (((x + 1) % side == 0 or x == last_x)
-                    and ((y + 1) % side == 0 or y == last_y)):
-                break
-            level += 1
-        return level
+        """Highest level whose cell has p as its lower-right corner (0 if none)."""
+        if not self.dims.contains(p):
+            raise BoundsError(f"{p} outside grid {self.dims}")
+        return self.junction_levels().item(p[1], p[0])
 
     def junction_levels(self) -> np.ndarray:
-        """`junction_level` of every node as an int array indexed [y, x]."""
-        xs = np.arange(self.dims.width)
-        ys = np.arange(self.dims.height)
-        levels = np.zeros((self.dims.height, self.dims.width), dtype=np.int8)
-        for side in self._sides[1:]:
-            ends_x = ((xs + 1) % side == 0) | (xs == self.dims.width - 1)
-            ends_y = ((ys + 1) % side == 0) | (ys == self.dims.height - 1)
-            # A level-k junction is a junction at every lower level too, so
-            # counting the levels whose runs end here gives the highest one.
-            levels += ends_y[:, None] & ends_x[None, :]
-        return levels
+        """`junction_level` of every node, indexed [y, x]; built once, read-only.
+
+        A level-k junction ends a side-long run or the grid in both axes, and
+        then ends one at every lower level too: its level is the count of the
+        levels whose runs end there."""
+        if self._junctions is None:
+            xs = np.arange(self.dims.width)
+            ys = np.arange(self.dims.height)
+            levels = np.zeros((self.dims.height, self.dims.width), dtype=np.int8)
+            for side in self._sides[1:]:
+                ends_x = ((xs + 1) % side == 0) | (xs == self.dims.width - 1)
+                ends_y = ((ys + 1) % side == 0) | (ys == self.dims.height - 1)
+                levels += ends_y[:, None] & ends_x[None, :]
+            levels.setflags(write=False)
+            object.__setattr__(self, "_junctions", levels)
+        return self._junctions
 
     def block_cells(self, level: int, cols: range, rows: range) -> list[Cell]:
         """The level-k cells in block columns `cols` and rows `rows`, row-major,
@@ -227,8 +223,6 @@ class CubeHierarchy:
 
     def cells_at(self, p: Coord) -> list[Cell]:
         """All cells whose junction is p, ordered by level ascending."""
-        if not self.dims.contains(p):
-            raise BoundsError(f"{p} outside grid {self.dims}")
         return [self.cell_at(k, p) for k in range(1, self.config.junction_level(p) + 1)]
 
     def dump(self) -> list[str]:

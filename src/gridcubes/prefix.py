@@ -5,9 +5,9 @@ base values dominated by that position, anchored at the cell's upper-left
 corner. Level-1 tables run at grid granularity; a level-k table's base values
 are the totals of its level-(k-1) child cells, so its entries live at the
 child junction positions. The bottom-right entry of every table equals the
-plain cube summary of that cell. A cell's table is a read-only slice of its
-level's prefix array (`CubeHierarchy.prefix_array`), which holds the in-cell
-prefixes of every cell of the level at once.
+plain cube summary of that cell. The prefix-sum cube is a view: an entry is
+read in place from its level's prefix array (`CubeHierarchy.prefix_array`),
+the in-cell prefixes of every cell of the level, and a table is a slice of it.
 
 A rectangle inside one cell costs at most four entries. Arbitrary rectilinear
 regions expand into one signed entry per region corner (corners falling on
@@ -31,6 +31,7 @@ by its own piece and those answered by their own bottom-right entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -53,9 +54,8 @@ class PSDataPoint:
 
 
 class PrefixSumCube:
-    def __init__(self, hierarchy: CubeHierarchy, tables: dict[Cell, np.ndarray]):
+    def __init__(self, hierarchy: CubeHierarchy):
         self.hierarchy = hierarchy
-        self.tables = tables
 
     @property
     def config(self) -> HierarchyConfig:
@@ -64,6 +64,18 @@ class PrefixSumCube:
     @property
     def values(self) -> GridValues:
         return self.hierarchy.values
+
+    @cached_property
+    def tables(self) -> dict[Cell, np.ndarray]:
+        """Each cell's read-only slice of its level's prefix array."""
+        tables: dict[Cell, np.ndarray] = {}
+        for level in range(1, self.config.height + 1):
+            prefix, side = self.hierarchy.prefix_array(level), self.config.side(level - 1)
+            for cell in self.hierarchy.cells_of(level):
+                b = cell.bounds
+                tables[cell] = prefix[b.y0 // side:b.y1 // side + 1,
+                                      b.x0 // side:b.x1 // side + 1]
+        return tables
 
     def _child_grid(self, cell: Cell) -> tuple[int, int, int]:
         return self.config.child_grid(cell)
@@ -77,11 +89,10 @@ class PrefixSumCube:
         return PSDataPoint(cell, (x1, y1), Rect(cell.bounds.x0, cell.bounds.y0, x1, y1))
 
     def entry(self, point: PSDataPoint):
-        table = self.tables[point.cell]
-        side, _, _ = self._child_grid(point.cell)
-        ci = (point.location[0] - point.cell.bounds.x0) // side
-        cj = (point.location[1] - point.cell.bounds.y0) // side
-        return table[cj, ci].item()
+        level = point.cell.level
+        side = self.config.side(level - 1)
+        x, y = point.location
+        return self.hierarchy.prefix_array(level).item(y // side, x // side)
 
     def points(self) -> Iterator[PSDataPoint]:
         for level_cells in self.hierarchy.levels:
@@ -93,17 +104,7 @@ class PrefixSumCube:
 
 
 def build_ps_cube(values: GridValues, config: HierarchyConfig) -> PrefixSumCube:
-    """Each cell's table is its slice of the level's prefix array: the 2-D
-    prefix of its children's summaries (the readings for level 1)."""
-    h = build_hierarchy(values, config)
-    tables: dict[Cell, np.ndarray] = {}
-    for level in range(1, config.height + 1):
-        prefix = h.prefix_array(level)
-        side = config.side(level - 1)
-        for cell in h.cells_of(level):
-            b = cell.bounds
-            tables[cell] = prefix[b.y0 // side:b.y1 // side + 1, b.x0 // side:b.x1 // side + 1]
-    return PrefixSumCube(h, tables)
+    return PrefixSumCube(build_hierarchy(values, config))
 
 
 def rectangle_sum(ps: PrefixSumCube, cell: Cell, rect: Rect):

@@ -337,14 +337,10 @@ def failed_datapoints(h: CubeHierarchy, failures: FailureSet) -> set[Cell]:
 
 
 def _cell_readable(h: CubeHierarchy, cell: Cell, area: frozenset[Coord]) -> int | None:
-    """Reads needed to obtain V(cell) under the failure area, or None.
-
-    A cell whose junction died is solved from its parent cell's block-prefix
-    identities, as in recover_junction's last resort.
+    """Reads needed to obtain V(cell), a cell above level 0, under the
+    failure area, or None. A cell whose junction died is solved from its
+    parent cell's block-prefix identities, as in recover_junction's last resort.
     """
-    if cell.level == 0:
-        p = (cell.bounds.x0, cell.bounds.y0)
-        return 1 if p not in area else None
     if cell.junction not in area:
         return 1
     if cell.level >= h.height:

@@ -233,10 +233,22 @@ def test_exit_code_bounds_violation(tmp_path, capsys):
     assert code == 4
 
 
-def test_exit_code_bad_failure_spec(capsys):
-    code, _, _ = run(capsys, "plan", "--scenario", THREE_LEVEL,
-                     "--region", "G", "--fail", "bogus:1")
+@pytest.mark.parametrize("spec", ["bogus:1", "cell:4:0,0", "cell:-1:0,0",
+                                  "cell:1:8,0", "cell:1:0,-1"])
+def test_exit_code_bad_failure_spec(capsys, spec):
+    # The fixture is 8x8 with three levels: level 4 and location (8, 0)
+    # are out of range.
+    code, _, err = run(capsys, "plan", "--scenario", THREE_LEVEL,
+                       "--region", "G", "--fail", spec)
     assert code == 4
+    assert spec in err
+
+
+@pytest.mark.parametrize("command", ["divide", "plan", "ps-plan", "recover"])
+def test_exit_code_missing_region(capsys, command):
+    code, _, err = run(capsys, command, "--scenario", THREE_LEVEL)
+    assert code == 4
+    assert f"{command} requires at least one --region" in err
 
 
 def test_seed_override(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gridcubes.errors import ConfigError
+from gridcubes.errors import BoundsError, ConfigError
 from gridcubes.grid import GridDims, GridValues, Rect, RectilinearRegion, region_from_rectangles
 from gridcubes.hierarchy import (Cell, Color, HierarchyConfig, build_hierarchy, cell_of,
                                  color_tree)
@@ -112,6 +112,13 @@ def test_cells_at_matches_scan_of_every_level(width, height, fanouts):
             scan = [c for cells in h.levels for c in cells if c.junction == (x, y)]
             assert h.cells_at((x, y)) == scan
             assert config.junction_level((x, y)) == len(scan)
+    levels = config.junction_levels()
+    assert config.junction_levels() is levels and not levels.flags.writeable
+    for p in ((-1, 0), (0, -1), (width, 0), (0, height)):
+        with pytest.raises(BoundsError):
+            config.junction_level(p)
+        with pytest.raises(BoundsError):
+            h.cells_at(p)
     # Child blocks and their junctions come in row-major order.
     for cells in h.levels:
         for cell in cells:

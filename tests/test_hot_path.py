@@ -1,6 +1,7 @@
 """The planner paths work on region masks and summed-area tables only: a
 region built from rectangles never builds its explicit location set while
-it is planned, divided or answered from the prefix-sum cube. The
+it is planned, divided or answered from the prefix-sum cube, and that cube
+is read in place, without building its per-cell tables. The
 construction wave works on slot arrays and builds no node state until one
 is read."""
 
@@ -10,7 +11,7 @@ from gridcubes.division import greedy_divide
 from gridcubes.flow import build_flow_graph, combined_plan, min_cut_plan
 from gridcubes.grid import GridDims, GridValues, RectilinearRegion, region_from_rectangles
 from gridcubes.hierarchy import HierarchyConfig, build_hierarchy, color_tree
-from gridcubes.prefix import build_ps_cube, ps_query_plan
+from gridcubes.prefix import PrefixSumCube, build_ps_cube, ps_query_plan
 
 from conftest import naive_region_sum
 
@@ -19,6 +20,10 @@ from test_cli import THREE_LEVEL
 
 def refuse(self):
     raise AssertionError("the explicit location set was built")
+
+
+def refuse_tables(self):
+    raise AssertionError("the per-cell prefix tables were built")
 
 
 def test_plan_divide_and_ps_plan_never_build_cell_sets(monkeypatch):
@@ -32,6 +37,8 @@ def test_plan_divide_and_ps_plan_never_build_cell_sets(monkeypatch):
     plan = min_cut_plan(build_flow_graph(color_tree(h, a)), h)
     combined = combined_plan([color_tree(h, a), color_tree(h, b)], h)
     cover = greedy_divide(h, a)
+    # The prefix-sum cube is read in place: no per-cell table is built.
+    monkeypatch.setattr(PrefixSumCube, "tables", property(refuse_tables))
     ps_plan = ps_query_plan(build_ps_cube(vals, config), a)
     for name in ("plan", "divide", "ps-plan"):
         assert main([name, "--scenario", THREE_LEVEL, "--region", "G", "--region", "Q2"]) == 0

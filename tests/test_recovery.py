@@ -96,18 +96,25 @@ def test_junction_redundant_three_neighbours():
     assert rec.distance == 3
 
 
-def test_junction_recovery_random(rng):
-    vals = GridValues.random(GridDims(12, 12), seed=61)
-    cfg = HierarchyConfig(GridDims(12, 12), (2, 3))
-    states, _ = run_construction(vals, cfg, mode="ps")
+@pytest.mark.parametrize("width,height,fanouts,redundant", [
+    (12, 12, (2, 3), False),
+    # With F1 = 1 every node is a level-1 junction, so the diagonal neighbour
+    # of a redundant rebuild is one too and its level-1 value is subtracted.
+    (6, 5, (1, 2), True), (7, 9, (1, 2, 3), True), (8, 8, (1, 2, 2), True)])
+def test_junction_recovery_random(width, height, fanouts, redundant):
+    dims = GridDims(width, height)
+    vals = GridValues.random(dims, seed=61)
+    cfg = HierarchyConfig(dims, fanouts)
+    states, _ = run_construction(vals, cfg, mode="ps", redundant=redundant)
     h = build_hierarchy(vals, cfg)
     from gridcubes.protocol import junction_level
-    for cell in h.cells_of(1):
-        j = cell.junction
-        if junction_level(j, cfg) == cfg.height:
-            continue  # also closes a top cell: its data reaches no other node
-        rec = recover_junction(drop(states, j), j, 1, cfg)
-        assert rec.value == h.value(cell)
+    for level in range(1, cfg.height):
+        for cell in h.cells_of(level):
+            j = cell.junction
+            if junction_level(j, cfg) == cfg.height:
+                continue  # also closes a top cell: its data reaches no other node
+            rec = recover_junction(drop(states, j), j, level, cfg, redundant)
+            assert rec.value == h.value(cell)
 
 
 def test_junction_escalation_with_dead_donor():
@@ -147,6 +154,10 @@ def test_failures_disjoint_from_query_plan_exactly():
     res = plan_with_failures(h, failures, query)
     assert isinstance(res, QueryPlan)
     assert res.value == naive_region_sum(vals, query)
+    direct = recover_region(h, failures, query)
+    assert direct.kind is RecoveryKind.EXACT and direct.value == res.value
+    assert direct.requested_area == direct.recovered_area == frozenset()
+    assert direct.points_read == res.size
 
 
 def test_recoverable_area_failure_plans_exactly():
