@@ -118,106 +118,88 @@ class FlowGraph:
         return None
 
 
+_COLOR_SLOT = {Color.GREY: 0, Color.WHITE: 1, Color.PARTIAL: 2}
+
+
 def _record_colors(trees: Sequence[HierarchyTree]):
-    """Per cell: its color in each query and its parent cell (None on top)."""
-    records: dict[Cell, tuple[dict[int, Color], Cell | None]] = {}
+    """Per cell: the queries coloring it grey, white and partial, and its
+    parent cell (None on top). A cell is recorded when it is first popped,
+    after its parent, so every parent comes before its children."""
+    records: dict[Cell, tuple[tuple[set[int], set[int], set[int]], Cell | None]] = {}
     for qi, tree in enumerate(trees):
         stack = [(node, None) for node in tree.root.children]
         while stack:
             node, parent = stack.pop()
-            records.setdefault(node.cell, ({}, parent))[0][qi] = node.color
+            record = records.get(node.cell)
+            if record is None:
+                record = records[node.cell] = ((set(), set(), set()), parent)
+            record[0][_COLOR_SLOT[node.color]].add(qi)
             stack.extend((child, node.cell) for child in node.children)
     return records
 
 
 def _build_graph(trees: Sequence[HierarchyTree]) -> FlowGraph:
+    """The cut network of one or several colored trees, in one pass.
+
+    Per cell, with G, W and P its grey, white and partial queries and p its
+    parent's partial replica (ROOT on top): nodes U if P, G if G, W if W,
+    M+ if P and G, M- if P and W; infinite arcs SOURCE->G, W->SINK, G->M+,
+    U->M+, M-->W and M-->U (and ROOT->SINK once); a + data arc from M+,
+    else G, else U, to p with base G and cond P iff G or P; a - data arc
+    from p to M-, else W, else U with base W and cond P iff W or P. The unit
+    count is known first, so every arc is added with its final capacity.
+    """
     h = trees[0].hierarchy
     if any(t.hierarchy is not h for t in trees[1:]):
         raise ValidationError("all trees must be colored over the same hierarchy")
 
-    records = sorted(_record_colors(trees).items(),
-                     key=lambda kv: (-kv[0].level, kv[0].bounds.y0, kv[0].bounds.x0))
-
+    records = _record_colors(trees)
+    unit_count = sum(bool(g or p) + bool(w or p) for (g, w, p), _ in records.values())
+    inf = unit_count + 1
     node_kind: list = ["s", "t", "root"]
-
-    def new_node(kind) -> int:
-        node_kind.append(kind)
-        return len(node_kind) - 1
-
     arc_to: list[int] = []
     arc_cap: list[int] = []
 
-    def add_arc(u, v, cap) -> int:
-        i = len(arc_to)
+    def new_node(cell, role) -> int:
+        node_kind.append((cell, role))
+        return len(node_kind) - 1
+
+    def add_arc(u, v, cap=inf) -> int:
         arc_to.extend((v, u))
         arc_cap.extend((cap, 0))
-        return i
+        return len(arc_to) - 2
 
+    add_arc(ROOT, SINK)
     g_node: dict[Cell, int] = {}
-    w_node: dict[Cell, int] = {}
     u_node: dict[Cell, int] = {}
-    groups = []  # (cell, parent cell, grey queries, white queries, partial queries)
-    for cell, (qcolors, parent_cell) in records:
-        greys = {q for q, c in qcolors.items() if c is Color.GREY}
-        whites = {q for q, c in qcolors.items() if c is Color.WHITE}
-        parts = {q for q, c in qcolors.items() if c is Color.PARTIAL}
+    data_arcs: list[DataArc] = []
+    for cell, ((greys, whites, parts), parent_cell) in records.items():
+        p = ROOT if parent_cell is None else u_node[parent_cell]
+        u = g = w = m_plus = m_minus = None
         if parts:
-            u_node[cell] = new_node((cell, "U"))
+            u = u_node[cell] = new_node(cell, "U")
         if greys:
-            g_node[cell] = new_node((cell, "G"))
+            g = g_node[cell] = new_node(cell, "G")
+            add_arc(SOURCE, g)
         if whites:
-            w_node[cell] = new_node((cell, "W"))
-        groups.append((cell, parent_cell, greys, whites, parts))
-
-    # Unit capacities are assigned first as placeholders and patched once the
-    # total unit count (and so the infinity sentinel) is known.
-    pending_inf: list[int] = []
-    raw: list[tuple] = []  # (u, v, cell, sign, base, cond)
-
-    def data_arc(u, v, cell, sign, base, cond):
-        raw.append((u, v, cell, sign, frozenset(base), frozenset(cond)))
-
-    pending_inf.append(add_arc(ROOT, SINK, 0))
-    for node in g_node.values():
-        pending_inf.append(add_arc(SOURCE, node, 0))
-    for node in w_node.values():
-        pending_inf.append(add_arc(node, SINK, 0))
-
-    for cell, parent_cell, greys, whites, parts in groups:
-        parent = ROOT if parent_cell is None else u_node[parent_cell]
-        if parts:
-            # The gadgets below merge a forced-side replica's parent edge
-            # with the partial replica's, so one crossing serves both and no
-            # cut can ever charge the same data point twice.
-            xu = u_node[cell]
-            if greys:
-                m = new_node((cell, "M+"))
-                pending_inf.append(add_arc(g_node[cell], m, 0))
-                pending_inf.append(add_arc(xu, m, 0))
-                data_arc(m, parent, cell, +1, greys, parts)
-            if whites:
-                m = new_node((cell, "M-"))
-                pending_inf.append(add_arc(m, w_node[cell], 0))
-                pending_inf.append(add_arc(m, xu, 0))
-                data_arc(parent, m, cell, -1, whites, parts)
-            if not greys:
-                data_arc(xu, parent, cell, +1, set(), parts)
-            if not whites:
-                data_arc(parent, xu, cell, -1, set(), parts)
-        else:
-            if greys:
-                data_arc(g_node[cell], parent, cell, +1, greys, set())
-            if whites:
-                data_arc(parent, w_node[cell], cell, -1, whites, set())
-
-    data_arcs = []
-    for u, v, cell, sign, base, cond in raw:
-        i = add_arc(u, v, 1)
-        data_arcs.append(DataArc(i, u, v, cell, sign, base, cond))
-    unit_count = len(data_arcs)
-    inf = unit_count + 1
-    for i in pending_inf:
-        arc_cap[i] = inf
+            w = new_node(cell, "W")
+            add_arc(w, SINK)
+        if parts and greys:
+            m_plus = new_node(cell, "M+")
+            add_arc(g, m_plus)
+            add_arc(u, m_plus)
+        if parts and whites:
+            m_minus = new_node(cell, "M-")
+            add_arc(m_minus, w)
+            add_arc(m_minus, u)
+        if greys or parts:
+            tail = m_plus or g or u
+            data_arcs.append(DataArc(add_arc(tail, p, 1), tail, p, cell, +1,
+                                     frozenset(greys), frozenset(parts)))
+        if whites or parts:
+            head = m_minus or w or u
+            data_arcs.append(DataArc(add_arc(p, head, 1), p, head, cell, -1,
+                                     frozenset(whites), frozenset(parts)))
 
     return FlowGraph(len(trees), node_kind, arc_to, arc_cap,
                      data_arcs, u_node, g_node, unit_count)

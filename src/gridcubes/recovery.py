@@ -135,73 +135,47 @@ def _linear_block_solve(b_of, child_of, cols, rows, target):
 
     b_of(i, j) and child_of(i, j) return the stored next-level prefix and the
     child cell sum at child (i, j), or None when that junction is dead. Every
-    alive junction contributes the identity B(i,j) = B(i-1,j) + B(i,j-1) -
-    B(i-1,j-1) + childV(i,j); dead prefixes become variables and the system
-    is eliminated exactly. Returns (value or None, positions read).
+    alive child gives the identity B(i,j) - B(i-1,j) - B(i,j-1) + B(i-1,j-1)
+    = childV(i,j), a row over the dead prefixes; the rows are eliminated
+    exactly, and the target's identity, reduced by the same pivots, gives
+    its child sum iff no dead prefix remains in it. Returns (value or None,
+    positions read).
     """
-    known: dict = {}
-    variables: dict = {}
-    used: set = set()
-    for j in range(rows):
-        for i in range(cols):
-            v = b_of(i, j)
-            if v is None:
-                variables[(i, j)] = len(variables)
-            else:
-                known[(i, j)] = Fraction(v)
+    b = {(i, j): b_of(i, j) for j in range(rows) for i in range(cols)}
+    column = {pos: k for k, pos in enumerate(pos for pos in b if b[pos] is None)}
+    used = set()
 
-    def expr(i, j):
-        if i < 0 or j < 0:
-            return {}, Fraction(0)
-        if (i, j) in known:
-            used.add((i, j))
-            return {}, known[(i, j)]
-        return {variables[(i, j)]: Fraction(1)}, Fraction(0)
-
-    def identity_expr(i, j):
-        coeffs: dict = {}
-        const = Fraction(0)
-        for di, dj, sign in ((i, j, 1), (i - 1, j, -1), (i, j - 1, -1), (i - 1, j - 1, 1)):
-            c, k = expr(di, dj)
-            for var, co in c.items():
-                coeffs[var] = coeffs.get(var, Fraction(0)) + sign * co
-            const += sign * k
-        return {v: c for v, c in coeffs.items() if c}, const
-
-    pivots: dict = {}  # var -> (coeffs, rhs) in echelon form
-
-    def reduce(coeffs, rhs):
-        coeffs = dict(coeffs)
-        while True:
-            var = next((v for v in coeffs if v in pivots), None)
-            if var is None:
-                return coeffs, rhs
-            factor = coeffs.pop(var)
-            pc, pr = pivots[var]
-            for v, c in pc.items():
-                coeffs[v] = coeffs.get(v, Fraction(0)) - factor * c
-                if not coeffs[v]:
-                    del coeffs[v]
-            rhs -= factor * pr
-
-    for j in range(rows):
-        for i in range(cols):
-            cv = child_of(i, j)
-            if cv is None:
+    def identity(i, j, rhs):
+        """The identity at (i, j) minus rhs: dead-prefix coefficients, then the constant."""
+        row = [Fraction(0)] * len(column) + [Fraction(-rhs)]
+        for pos, sign in (((i, j), 1), ((i - 1, j), -1), ((i, j - 1), -1), ((i - 1, j - 1), 1)):
+            if min(pos) < 0:
                 continue
-            used.add((i, j))
-            coeffs, const = identity_expr(i, j)
-            coeffs, rhs = reduce(coeffs, Fraction(cv) - const)
-            if coeffs:
-                var = next(iter(coeffs))
-                factor = coeffs.pop(var)
-                pivots[var] = ({v: c / factor for v, c in coeffs.items()}, rhs / factor)
+            if b[pos] is None:
+                row[column[pos]] += sign
+            else:
+                row[-1] += sign * b[pos]
+                used.add(pos)
+        return row
 
-    coeffs, const = identity_expr(*target)
-    coeffs, rhs = reduce(coeffs, -const)
-    if coeffs:
-        return None, sorted(used)
-    return -rhs, sorted(used)
+    pivots = []  # (column, row): 1 at the column, 0 at every earlier pivot's
+
+    def reduce(row):
+        for k, pivot in pivots:
+            if factor := row[k]:
+                row = [a - factor * p for a, p in zip(row, pivot)]
+        return row
+
+    for pos in b:
+        value = child_of(*pos)
+        if value is not None:
+            used.add(pos)
+            row = reduce(identity(*pos, value))
+            k = next((k for k, a in enumerate(row[:-1]) if a), None)
+            if k is not None:
+                pivots.append((k, [a / row[k] for a in row]))
+    row = reduce(identity(*target, 0))
+    return (None if any(row[:-1]) else row[-1]), sorted(used)
 
 
 def _parent_block(config: HierarchyConfig, cell: Cell, slots, escalate):
@@ -363,22 +337,16 @@ def _cell_readable(h: CubeHierarchy, cell: Cell, area: frozenset[Coord]) -> int 
     return 2 * len(used) + upper.reads
 
 
-def _components(area: frozenset[Coord]) -> list[frozenset[Coord]]:
-    remaining = set(area)
-    out = []
-    while remaining:
-        seed = remaining.pop()
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            x, y = stack.pop()
-            for n in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                if n in remaining:
-                    remaining.discard(n)
-                    comp.add(n)
-                    stack.append(n)
-        out.append(frozenset(comp))
-    return out
+def _component(area: frozenset[Coord], seed: Coord) -> frozenset[Coord]:
+    """The 4-connected component of `area` holding `seed`."""
+    comp, stack = {seed}, [seed]
+    while stack:
+        x, y = stack.pop()
+        for n in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if n in area and n not in comp:
+                comp.add(n)
+                stack.append(n)
+    return frozenset(comp)
 
 
 def _exact_over(h: CubeHierarchy, region: RectilinearRegion, failed: set[Cell]) -> tuple[object, int]:
@@ -419,11 +387,9 @@ def recover_region(h: CubeHierarchy, failures: FailureSet,
     done: set[Cell] = set()  # maximal cells of the portions recovered so far
     any_estimate = False
     pending = set(q_failed)
-    components = _components(area)
     while pending:
         seed = min(pending, key=lambda p: (p[1], p[0]))
-        comp = next(c for c in components if seed in c)
-        requested = frozenset(pending & comp)
+        requested = frozenset(pending & _component(area, seed))
         grown = requested
         portion = None
         for level in range(1, h.height + 1):

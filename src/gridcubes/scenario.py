@@ -5,7 +5,7 @@ Schema (version 1):
     {
       "schema": 1,
       "grid": {"width": W, "height": H,
-               "values": [row-major numbers]            # or
+               "values": [row-major integers]           # or
                "random": {"seed": S, "low": A, "high": B}},
       "hierarchy": {"fanouts": [F1, F2, ...],
                     "mode": "simple" | "ps",            # optional, default simple
@@ -17,14 +17,16 @@ Schema (version 1):
     }
 
 Values are row-major with y as the outer index, matching the top-left origin.
-Failure SPECs use the grammar `node:x,y` or `cell:LEVEL:x0,y0` where (x0, y0)
-is any grid location inside the cell.
+Every number is a JSON integer (a `true` among integer values reads as 1).
+Failure SPECs are `node:x,y` or `cell:LEVEL:x,y` with (x, y) in the cell.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ScenarioError
 from .grid import GridDims, GridValues, RectilinearRegion, region_from_rectangles
@@ -129,10 +131,9 @@ def _list(obj, context, item=object) -> list:
 
 
 def _int(value, context) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{context} must be an integer, got {value!r}") from None
+    if type(value) is not int:
+        raise ScenarioError(f"{context} must be an integer, got {value!r}")
+    return value
 
 
 def _unique(name: str, taken, kind: str) -> str:
@@ -157,19 +158,25 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     grid = _require(raw, "grid", "scenario")
     dims = GridDims(_int(_require(grid, "width", "grid"), "grid width"),
                     _int(_require(grid, "height", "grid"), "grid height"))
-    if "values" in grid:
-        try:
-            values = GridValues.from_flat(dims, grid["values"])
-        except (TypeError, ValueError) as e:
-            raise ScenarioError(f"bad grid values: {e}") from None
-    elif "random" in grid:
-        spec = _object(grid["random"], "random")
-        seed = seed_override if seed_override is not None else \
-            _int(_require(spec, "seed", "random"), "seed")
-        values = GridValues.random(dims, seed, _int(spec.get("low", 0), "low"),
-                                   _int(spec.get("high", 9), "high"))
-    else:
-        raise ScenarioError("grid needs 'values' or 'random'", kind="validation")
+    try:
+        if "values" in grid:
+            # Floats, strings and readings beyond int64 give no integer dtype.
+            readings = np.asarray(grid["values"])
+            if readings.dtype.kind != "i":
+                raise ValueError(f"readings must be int64 integers, not {readings.dtype}")
+            values = GridValues.from_flat(dims, readings)
+        elif "random" in grid:
+            spec = _object(grid["random"], "random")
+            seed = seed_override if seed_override is not None else \
+                _int(_require(spec, "seed", "random"), "seed")
+            low, high = _int(spec.get("low", 0), "low"), _int(spec.get("high", 9), "high")
+            if low > high:
+                raise ValueError(f"random low {low} exceeds high {high}")
+            values = GridValues.random(dims, seed, low, high)
+        else:
+            raise ScenarioError("grid needs 'values' or 'random'", kind="validation")
+    except ValueError as e:
+        raise ScenarioError(f"bad grid values: {e}") from None
 
     hier = _require(raw, "hierarchy", "scenario")
     fanouts = _list(_require(hier, "fanouts", "hierarchy"), "fanouts")

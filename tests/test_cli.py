@@ -213,12 +213,27 @@ def test_exit_code_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "plan", "--scenario", str(bad), "--region", "G")
     assert code == 2
     assert "line" in err and "column" in err
+    code, _, err = run(capsys, "plan", "--scenario", str(tmp_path / "missing.json"),
+                       "--region", "G")
+    assert code == 2
+    assert "cannot read scenario" in err
 
 
-def test_exit_code_unknown_region(capsys):
+def test_exit_code_unknown_region(tmp_path, capsys):
     code, _, err = run(capsys, "plan", "--scenario", THREE_LEVEL, "--region", "nope")
     assert code == 3
     assert "unknown region" in err
+    path = tmp_path / "query.json"
+    path.write_text(json.dumps(_malformed(queries=[{"name": "q", "regions": ["nope"]}])))
+    code, _, err = run(capsys, "plan", "--scenario", str(path), "--region", "R")
+    assert code == 3
+    assert "unknown region 'nope'" in err
+
+
+def test_render_without_svg_exits_4(capsys):
+    code, _, err = run(capsys, "render", "--scenario", THREE_LEVEL)
+    assert code == 4
+    assert "render requires --svg" in err
 
 
 def test_exit_code_bounds_violation(tmp_path, capsys):
@@ -234,7 +249,7 @@ def test_exit_code_bounds_violation(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spec", ["bogus:1", "cell:4:0,0", "cell:-1:0,0",
-                                  "cell:1:8,0", "cell:1:0,-1"])
+                                  "cell:1:8,0", "cell:1:0,-1", "node:a,b"])
 def test_exit_code_bad_failure_spec(capsys, spec):
     # The fixture is 8x8 with three levels: level 4 and location (8, 0)
     # are out of range.
@@ -300,11 +315,30 @@ def _malformed(**changes):
     _malformed(queries=[{"name": "q", "regions": ["R"]}, {"name": "q", "regions": ["R"]}]),
     _malformed(failures=[{"name": "f", "fail": ["node:0,0"]},
                          {"name": "f", "fail": ["node:1,1"]}]),
+    _malformed(grid={"width": 2.9, "height": 4, "values": list(range(8))}),
+    _malformed(grid={"width": "4", "height": 4, "values": list(range(16))}),
+    _malformed(hierarchy={"fanouts": [2.5]}),
+    _malformed(grid={"width": 4, "height": 4, "values": [1.5, 2.7, True, "4"] * 4}),
+    _malformed(grid={"width": 4, "height": 4, "values": [1.5] + list(range(15))}),
+    _malformed(grid={"width": 4, "height": 4, "values": ["4"] + list(range(15))}),
+    _malformed(grid={"width": 4, "height": 4, "values": [2 ** 63] + list(range(15))}),
+    _malformed(grid={"width": 4, "height": 4, "values": [2 ** 64] + list(range(15))}),
+    _malformed(grid={"width": 4, "height": 4, "random": {"seed": 1, "low": 5, "high": 2}}),
+    _malformed(grid={"width": 4, "height": 4, "random": {"seed": 1, "high": 2 ** 70}}),
+    _malformed(grid={"width": 4, "height": 4, "random": {"seed": -1}}),
+    _malformed(grid={"width": 4, "height": 4, "random": {"seed": 1.5}}),
+    _malformed(schema=2),
+    _malformed(grid={"width": 4, "height": 4}),
+    _malformed(hierarchy={"fanouts": [2], "mode": "fast"}),
 ], ids=["failure-without-fail", "query-without-regions", "short-rect", "string-in-rect",
         "aliases-list", "string-fanout", "top-level-list", "string-width", "random-not-object",
         "string-values", "list-name", "list-query-member", "fail-not-list", "alias-not-string",
         "region-named-twice", "query-named-like-region", "query-named-twice",
-        "failure-named-twice"])
+        "failure-named-twice", "float-width", "numeric-string-width", "float-fanout",
+        "mixed-values", "float-value", "numeric-string-value", "value-above-int64",
+        "value-above-uint64", "random-low-above-high", "random-high-above-int64",
+        "negative-seed", "float-seed", "unsupported-schema", "no-values-or-random",
+        "bad-mode"])
 def test_malformed_scenario_exits_4(tmp_path, capsys, scenario):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario))

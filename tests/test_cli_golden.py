@@ -17,6 +17,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -106,6 +107,18 @@ def _load() -> list[dict]:
 def test_cli_matches_golden(record, tmp_path):
     got = run_line(record["argv"], tmp_path / "report.json")
     assert got == record
+
+
+def test_module_entry_point_matches_golden(tmp_path):
+    record = next(r for r in _load()
+                  if r["argv"][0] == "plan" and "--fail" in r["argv"] and r["exit"] == 0)
+    report = tmp_path / "report.json"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "gridcubes", *record["argv"],
+                           "--json", str(report)], cwd=ROOT, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert (done.returncode, done.stdout) == (record["exit"], record["stdout"])
+    assert json.loads(report.read_text()) == record["report"]
 
 
 def test_golden_covers_every_command_line():

@@ -3,8 +3,8 @@ import pytest
 
 from gridcubes.errors import InfeasibleError
 from gridcubes.division import greedy_divide
-from gridcubes.flow import (_build_graph, _solve, build_flow_graph, combined_plan,
-                            mark_failed, min_cut_plan)
+from gridcubes.flow import (ROOT, SINK, SOURCE, _build_graph, _solve, build_flow_graph,
+                            combined_plan, mark_failed, min_cut_plan)
 from gridcubes.grid import GridDims, GridValues, RectilinearRegion, region_from_rectangles
 from gridcubes.hierarchy import Color, HierarchyConfig, build_hierarchy, color_tree
 
@@ -40,6 +40,10 @@ def cell_by_label(h, label):
     return cell
 
 
+def third_region(dims=GridDims(8, 8)):
+    return region_from_rectangles([((1, 1), (6, 2)), ((5, 3), (6, 6))], dims)
+
+
 def test_graph_structure():
     vals, h = demo_cube()
     tree = color_tree(h, demo_region())
@@ -55,6 +59,57 @@ def test_graph_structure():
     partial = tree.cells_by_color(Color.PARTIAL)
     assert cells == grey | white | partial
     assert len(g.data_arcs) == len(cells) + len(partial)
+
+    # Batches follow the per-cell rule: with G, W, P the queries coloring a
+    # cell grey, white, partial and p its parent's U (ROOT on top), nodes U
+    # if P, G if G, W if W, M+ if P and G, M- if P and W; a + data arc from
+    # M+/G/U to p iff G or P and a - data arc from p to M-/W/U iff W or P.
+    for regions in ([demo_region()], [demo_region(), third_region()],
+                    [third_region(), demo_region(), second_region()]):
+        trees = [color_tree(h, r) for r in regions]
+        g = _build_graph(trees)
+        colors = {}
+        for q, t in enumerate(trees):
+            for node in t.nodes():
+                if not node.is_root:
+                    colors.setdefault(node.cell, {c: set() for c in Color})[node.color].add(q)
+        roles = {}
+        for kind in g.node_kind[3:]:
+            roles.setdefault(kind[0], set()).add(kind[1])
+        assert roles.keys() == colors.keys()
+
+        def node(cell, role):
+            return g.node_kind.index((cell, role))
+
+        infinite = [(ROOT, SINK)]
+        for cell, by in colors.items():
+            G, W, P = by[Color.GREY], by[Color.WHITE], by[Color.PARTIAL]
+            assert roles[cell] == {role for role, on in (
+                ("U", P), ("G", G), ("W", W), ("M+", P and G), ("M-", P and W)) if on}
+            for role, a, b in (("G", SOURCE, "G"), ("W", "W", SINK), ("M+", "G", "M+"),
+                               ("M+", "U", "M+"), ("M-", "M-", "W"), ("M-", "M-", "U")):
+                if role in roles[cell]:
+                    infinite.append(tuple(node(cell, x) if isinstance(x, str) else x
+                                          for x in (a, b)))
+            p = ROOT if cell.level == h.height else \
+                node(h.cell_at(cell.level + 1, cell.junction), "U")
+            arcs = sorted(((da.sign, da.u, da.v, da.base, da.cond)
+                           for da in g.data_arcs if da.cell == cell), reverse=True)
+            want = []
+            if G or P:
+                tail = "M+" if P and G else "G" if G else "U"
+                want.append((+1, node(cell, tail), p, G, P))
+            if W or P:
+                head = "M-" if P and W else "W" if W else "U"
+                want.append((-1, p, node(cell, head), W, P))
+            assert arcs == want
+        # Data arcs carry 1, every other arc the rule's infinity, reverses 0.
+        data = {da.arc for da in g.data_arcs}
+        assert g.unit_count == len(data)
+        for i in range(0, len(g.arc_to), 2):
+            assert (g.arc_cap[i], g.arc_cap[i + 1]) == (1 if i in data else g.unit_count + 1, 0)
+        assert sorted((g.arc_to[i + 1], g.arc_to[i]) for i in range(0, len(g.arc_to), 2)
+                      if i not in data) == sorted(infinite)
 
 
 def test_worked_example_min_cut():

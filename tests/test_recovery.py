@@ -8,9 +8,9 @@ from gridcubes.flow import QueryPlan
 from gridcubes.grid import GridDims, GridValues, Rect, region_from_rectangles
 from gridcubes.hierarchy import HierarchyConfig, build_hierarchy
 from gridcubes.protocol import run_construction
-from gridcubes.recovery import (FailureSet, RecoveryKind, failed_datapoints,
-                                plan_with_failures, recover_junction,
-                                recover_node, recover_region)
+from gridcubes.recovery import (FailureSet, RecoveryKind, _linear_block_solve,
+                                failed_datapoints, plan_with_failures,
+                                recover_junction, recover_node, recover_region)
 
 from conftest import naive_region_sum
 
@@ -127,6 +127,60 @@ def test_junction_escalation_with_dead_donor():
     rec = recover_junction(drop(states, (2, 2), (5, 2)), (2, 2), 1, cfg)
     assert rec.value == h.value(h.cell_at(1, (0, 0)))
     assert (5, 5) in rec.donors
+
+
+def _rank(rows) -> int:
+    """Exact rank of a list of integer rows."""
+    rows, rank = [[Fraction(a) for a in r] for r in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows[rank:] if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for r in rows[rank + 1:]:
+            f = r[col] / pivot[col]
+            r[:] = [a - f * b for a, b in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+def test_linear_block_solve_against_dominance_rank(rng):
+    # The unknowns are the dead children's sums. A readable prefix B(i, j)
+    # sums every child (a, b) with a <= i and b <= j, so it gives one
+    # dominance row over the dead children; the target is determined iff
+    # its unit row adds nothing to their rank.
+    determined = 0
+    for _ in range(1500):
+        cols, rows = rng.randint(1, 5), rng.randint(1, 5)
+        grid = [(i, j) for j in range(rows) for i in range(cols)]
+        child = {p: rng.randint(-50, 50) for p in grid}
+        prefix = {(i, j): sum(child[a, b] for a, b in grid if a <= i and b <= j)
+                  for i, j in grid}
+        dead = [p for p in grid if rng.random() < 0.6]
+        if not dead:
+            continue
+        target, corner = rng.choice(dead), (cols - 1, rows - 1)
+        from_above = rng.random() < 0.5 and corner in dead
+
+        def b_of(i, j):
+            readable = (i, j) not in dead or (from_above and (i, j) == corner)
+            return prefix[i, j] if readable else None
+
+        def child_of(i, j):
+            return None if (i, j) in dead else child[i, j]
+
+        value, used = _linear_block_solve(b_of, child_of, cols, rows, target)
+        known = [(i, j) for i, j in grid if b_of(i, j) is not None]
+        dominance = [[int(a <= i and b <= j) for a, b in dead] for i, j in known]
+        unit = [int(p == target) for p in dead]
+        assert (value is not None) == (_rank(dominance + [unit]) == _rank(dominance))
+        if value is not None:
+            determined += 1
+            assert value == child[target]
+        readable = {p for p in grid if p not in dead}
+        assert used == sorted(readable | ({corner} if from_above and target == corner else set()))
+    assert determined > 300
 
 
 def test_failed_datapoints_include_enclosing_junctions():
