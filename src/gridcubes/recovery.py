@@ -154,7 +154,7 @@ def _linear_block_solve(b_of, child_of, cols, rows, target):
             if b[pos] is None:
                 row[column[pos]] += sign
             else:
-                row[-1] += sign * b[pos]
+                row[-1] += sign * Fraction(b[pos])
                 used.add(pos)
         return row
 

@@ -117,8 +117,11 @@ def test_junction_recovery_random(width, height, fanouts, redundant):
             assert rec.value == h.value(cell)
 
 
-def test_junction_escalation_with_dead_donor():
+@pytest.mark.parametrize("scale", [1, 0.25])
+def test_junction_escalation_with_dead_donor(scale):
     vals = GridValues.random(GridDims(6, 6), seed=62)
+    # scale 0.25 gives the floating-point mode, with quarters that add exactly.
+    vals = GridValues(vals.dims, vals.array * scale)
     cfg = HierarchyConfig(GridDims(6, 6), (3, 2))
     states, _ = run_construction(vals, cfg, mode="ps")
     h = build_hierarchy(vals, cfg)
@@ -126,6 +129,7 @@ def test_junction_escalation_with_dead_donor():
     # complement against the parent cell still succeeds.
     rec = recover_junction(drop(states, (2, 2), (5, 2)), (2, 2), 1, cfg)
     assert rec.value == h.value(h.cell_at(1, (0, 0)))
+    assert isinstance(rec.value, (int, Fraction))
     assert (5, 5) in rec.donors
 
 
@@ -150,11 +154,14 @@ def test_linear_block_solve_against_dominance_rank(rng):
     # sums every child (a, b) with a <= i and b <= j, so it gives one
     # dominance row over the dead children; the target is determined iff
     # its unit row adds nothing to their rank.
+    # Every other block holds float quarters, as in the floating-point mode:
+    # the solve must still be exact and return a Fraction.
     determined = 0
-    for _ in range(1500):
+    for n in range(1500):
         cols, rows = rng.randint(1, 5), rng.randint(1, 5)
         grid = [(i, j) for j in range(rows) for i in range(cols)]
-        child = {p: rng.randint(-50, 50) for p in grid}
+        scale = 0.25 if n % 2 else 1
+        child = {p: rng.randint(-50, 50) * scale for p in grid}
         prefix = {(i, j): sum(child[a, b] for a, b in grid if a <= i and b <= j)
                   for i, j in grid}
         dead = [p for p in grid if rng.random() < 0.6]
@@ -178,6 +185,7 @@ def test_linear_block_solve_against_dominance_rank(rng):
         if value is not None:
             determined += 1
             assert value == child[target]
+            assert isinstance(value, Fraction)
         readable = {p for p in grid if p not in dead}
         assert used == sorted(readable | ({corner} if from_above and target == corner else set()))
     assert determined > 300
