@@ -162,29 +162,6 @@ def _mask_weights(x0: int, y0: int, mask: np.ndarray) -> dict[Coord, int]:
                                                  weights[ys, xs].tolist())}
 
 
-def _fits_in_cell(ps: PrefixSumCube, region_cells: frozenset[Coord], level: int) -> Cell | None:
-    seed = next(iter(region_cells))
-    cell = ps.hierarchy.cell_at(level, seed)
-    if all(cell.bounds.contains_point(p) for p in region_cells):
-        return cell
-    return None
-
-
-def _block_region(ps: PrefixSumCube, cell: Cell, region_cells: frozenset[Coord]):
-    """Region re-expressed in child-block units, or None if not aligned.
-
-    The region lies inside the blocks it touches, so it is aligned exactly
-    when their total area is its size.
-    """
-    side, cols, _ = ps._child_grid(cell)
-    b = cell.bounds
-    blocks = frozenset(((x - b.x0) // side, (y - b.y0) // side) for x, y in region_cells)
-    children = ps.hierarchy.children(cell)
-    if sum(children[cj * cols + ci].area for ci, cj in blocks) != len(region_cells):
-        return None
-    return blocks
-
-
 def _emit_scope(ps: PrefixSumCube, cell: Cell, weights: dict[Coord, int]):
     """Signed entries of a cell's table for corner weights in its block grid."""
     out = []
@@ -196,31 +173,39 @@ def _emit_scope(ps: PrefixSumCube, cell: Cell, weights: dict[Coord, int]):
     return out
 
 
-def _fragment_points(ps: PrefixSumCube, region_cells: frozenset[Coord]):
+def _fragment_points(ps: PrefixSumCube, region: RectilinearRegion):
     """Signed points for one region, split along cell boundaries into pieces
-    that each lie in one cell's scope."""
-    if not region_cells:
+    that each lie in one cell's scope.
+
+    The cell holding the region is the lowest one holding its bounding
+    rectangle. The region is aligned there when each child block is wholly
+    inside or wholly outside it, as at level 1, whose blocks are grid
+    locations; then it costs the corner weights of its block mask. Otherwise,
+    or when no single cell holds it, its part in each cell one level down
+    (each top cell) is expanded on its own, in row-major order.
+    """
+    if not region:
         return []
-    split_level = ps.config.height  # spans several top-level cells
+    box = region.bounding_rect()
     for level in range(1, ps.config.height + 1):
-        cell = _fits_in_cell(ps, region_cells, level)
-        if cell is None:
-            continue
-        if level == 1:
-            b = cell.bounds
-            units = frozenset((x - b.x0, y - b.y0) for x, y in region_cells)
-        else:
-            units = _block_region(ps, cell, region_cells)
-        if units is not None:
-            return _emit_scope(ps, cell, corner_weights(units))
-        split_level = level - 1  # fits but misaligned: refine granularity
-        break
-    pieces: dict[Cell, set[Coord]] = {}
-    for p in region_cells:
-        pieces.setdefault(ps.hierarchy.cell_at(split_level, p), set()).add(p)
+        cell = ps.hierarchy.cell_at(level, (box.x0, box.y0))
+        if cell.bounds.contains_rect(box):
+            children = ps.hierarchy.children(cell)
+            counts = [region.count_in(c.bounds) for c in children]
+            if all(n in (0, c.area) for n, c in zip(counts, children)):
+                _, cols, rows = ps._child_grid(cell)
+                blocks = np.array(counts, dtype=bool).reshape(rows, cols)
+                return _emit_scope(ps, cell, _mask_weights(0, 0, blocks))
+            break
+    else:
+        children = ps.hierarchy.top_cells
     out = []
-    for piece_cell in sorted(pieces, key=lambda c: (c.bounds.y0, c.bounds.x0)):
-        out.extend(_fragment_points(ps, frozenset(pieces[piece_cell])))
+    for b in (child.bounds for child in children):
+        if region.count_in(b):
+            x0, y0 = max(b.x0, region.x0), max(b.y0, region.y0)
+            part = region.mask[y0 - region.y0:b.y1 + 1 - region.y0,
+                               x0 - region.x0:b.x1 + 1 - region.x0]
+            out.extend(_fragment_points(ps, RectilinearRegion.from_mask(x0, y0, part)))
     return out
 
 
@@ -234,7 +219,7 @@ def rectilinear_sum(ps: PrefixSumCube, region: RectilinearRegion):
     """
     if not region.within(ps.hierarchy.dims):
         raise BoundsError("region extends outside the grid")
-    points = _fragment_points(ps, region.cells)
+    points = _fragment_points(ps, region)
     value = sum(w * ps.entry(p) for p, w in points)
     return value, points
 

@@ -365,17 +365,22 @@ def recover_region(h: CubeHierarchy, failures: FailureSet,
     """Answer a query across failures, exactly when possible.
 
     Each failed component intersecting the query is grown level by level
-    until a readable enclosure is found; its sum is the enclosing cells'
-    values minus the alive remainder, and minus the failed sums of earlier
-    portions it takes in. An enclosure larger than the requested part yields
-    a uniformity estimate scaled by the area ratio. `failed_dps`
-    is failed_datapoints(h, failures) when the caller has it already.
+    until a readable enclosure is found: the level-1 cells holding its
+    failed locations, then their parents, since every enclosure cell holds
+    a failed location. Its sum is the enclosing cells' values minus the
+    alive remainder, and minus the failed sums of earlier portions it takes
+    in. An enclosure larger than the requested part yields a uniformity
+    estimate scaled by the area ratio. `failed_dps` is
+    failed_datapoints(h, failures) when the caller has it already.
     """
     area = failures.area()
     if failed_dps is None:
         failed_dps = failed_datapoints(h, failures)
-    q_failed = frozenset(query.cells & area)
-    q_alive = RectilinearRegion(query.cells - area)
+    q_failed = frozenset(p for p in area if query.contains(p))
+    alive_mask = query.mask.copy()
+    for x, y in q_failed:
+        alive_mask[y - query.y0, x - query.x0] = False
+    q_alive = RectilinearRegion.from_mask(query.x0, query.y0, alive_mask)
     exact_value, reads = _exact_over(h, q_alive, failed_dps)
 
     if not q_failed:
@@ -389,28 +394,23 @@ def recover_region(h: CubeHierarchy, failures: FailureSet,
     pending = set(q_failed)
     while pending:
         seed = min(pending, key=lambda p: (p[1], p[0]))
-        requested = frozenset(pending & _component(area, seed))
-        grown = requested
-        portion = None
+        cells = {h.cell_at(1, p) for p in pending & _component(area, seed)}
         for level in range(1, h.height + 1):
-            cells = {h.cell_at(level, p) for p in grown}
-            covered = set()
-            for c in cells:
-                covered.update(c.bounds.coords())
-            grown = frozenset(area & covered)
+            if level > 1:
+                cells = {h.cell_at(level, c.junction) for c in cells}
             cell_reads = [_cell_readable(h, c, area) for c in cells]
-            if any(r is None for r in cell_reads):
-                continue
-            value = sum(h.value(c) for c in cells)
-            alive_inside = covered - set(grown)
-            value -= sum(h.values.at(p) for p in alive_inside)
-            reads += sum(cell_reads) + len(alive_inside)
-            portion = (value, grown, cells)
-            break
-        if portion is None:
+            if None not in cell_reads:
+                break
+        else:
             return RecoveryResult(RecoveryKind.UNRECOVERABLE, None,
                                   frozenset(recovered), q_failed, reads)
-        value, grown, cells = portion
+        covered = set()
+        for c in cells:
+            covered.update(c.bounds.coords())
+        grown = area & covered
+        alive_inside = covered - grown
+        value = sum(h.value(c) for c in cells) - sum(h.values.at(p) for p in alive_inside)
+        reads += sum(cell_reads) + len(alive_inside)
         # Every cell holds a location no earlier portion recovered, so it is
         # never inside an earlier portion's cell: the overlap is made of
         # whole earlier cells, whose failed sums were counted already.
@@ -419,12 +419,12 @@ def recover_region(h: CubeHierarchy, failures: FailureSet,
             value -= h.value(e) - sum(h.values.at(p) for p in set(e.bounds.coords()) - area)
         done = (done - inside) | cells
         new = grown - recovered
-        wanted = frozenset(query.cells & new)
-        if wanted == new:
+        wanted = sum(1 for p in new if query.contains(p))
+        if wanted == len(new):
             total += value
         else:
             any_estimate = True
-            total += Fraction(value) * Fraction(len(wanted), len(new))
+            total += Fraction(value) * Fraction(wanted, len(new))
         recovered.update(new)
         pending -= new
 

@@ -29,8 +29,9 @@ def render_svg(h: CubeHierarchy, region: RectilinearRegion | None = None,
         f'<rect x="0" y="0" width="{width_px}" height="{height_px}" fill="white"/>',
     ]
     if region:
-        for x, y in sorted(region.cells, key=lambda c: (c[1], c[0])):
-            cx, cy = px(x, y)
+        ys, xs = region.mask.nonzero()  # row-major
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            cx, cy = px(region.x0 + x, region.y0 + y)
             parts.append(f'<rect x="{cx}" y="{cy}" width="{CELL_PX}" height="{CELL_PX}" '
                          f'fill="#c9c9c9"/>')
     for gx in range(w + 1):

@@ -9,7 +9,7 @@ Schema (version 1):
                "random": {"seed": S, "low": A, "high": B}},
       "hierarchy": {"fanouts": [F1, F2, ...],
                     "mode": "simple" | "ps",            # optional, default simple
-                    "redundant": false},                # optional
+                    "redundant": false},                # optional, true or false
       "regions":  [{"name": N, "rects": [[x0,y0,x1,y1], ...]}, ...],
       "queries":  [{"name": N, "regions": [region names]}, ...],   # optional
       "aliases":  {"label": "cell:LEVEL:x,y" | "node:x,y", ...},   # optional
@@ -153,7 +153,8 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
             f"scenario parse error at line {e.lineno}, column {e.colno}: {e.msg}",
             kind="parse") from None
 
-    if _object(raw, "scenario").get("schema") != 1:
+    schema = _object(raw, "scenario").get("schema")
+    if type(schema) is not int or schema != 1:
         raise ScenarioError("unsupported or missing schema version", kind="validation")
     grid = _require(raw, "grid", "scenario")
     dims = GridDims(_int(_require(grid, "width", "grid"), "grid width"),
@@ -164,6 +165,8 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
             readings = np.asarray(grid["values"])
             if readings.dtype.kind != "i":
                 raise ValueError(f"readings must be int64 integers, not {readings.dtype}")
+            if readings.ndim != 1:
+                raise ValueError("readings must be a flat row-major list")
             values = GridValues.from_flat(dims, readings)
         elif "random" in grid:
             spec = _object(grid["random"], "random")
@@ -184,6 +187,9 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     mode = hier.get("mode", "simple")
     if mode not in ("simple", "ps"):
         raise ScenarioError(f"bad hierarchy mode {mode!r}", kind="validation")
+    redundant = hier.get("redundant", False)
+    if not isinstance(redundant, bool):
+        raise ScenarioError(f"'redundant' must be true or false, got {redundant!r}")
 
     regions = {}
     for entry in _list(raw.get("regions", []), "regions"):
@@ -211,5 +217,4 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     aliases = _object(raw.get("aliases", {}), "aliases")
     if not all(isinstance(v, str) for v in aliases.values()):
         raise ScenarioError("alias targets must be strings")
-    return Scenario(values, config, mode, bool(hier.get("redundant", False)),
-                    regions, failures, dict(aliases), queries)
+    return Scenario(values, config, mode, redundant, regions, failures, dict(aliases), queries)

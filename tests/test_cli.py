@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from gridcubes.cli import build_parser, main
+from gridcubes.render import CELL_PX, MARGIN
 from gridcubes.scenario import load_scenario
 
 from conftest import reference_construction
@@ -198,6 +199,12 @@ def test_render_deterministic(tmp_path, capsys):
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes().startswith(b"<svg")
+    # The shaded squares are the region's locations, each once, row-major.
+    shaded = [((int(x) - MARGIN) // CELL_PX, (int(y) - MARGIN) // CELL_PX)
+              for x, y in re.findall(r'<rect x="(\d+)" y="(\d+)" width="\d+" height="\d+" '
+                                     r'fill="#c9c9c9"/>', a.read_text())]
+    region = load_scenario(THREE_LEVEL).region("G")
+    assert shaded == sorted(region.cells, key=lambda p: (p[1], p[0]))
 
 
 def test_render_grid_only(tmp_path, capsys):
@@ -330,6 +337,9 @@ def _malformed(**changes):
     _malformed(schema=2),
     _malformed(grid={"width": 4, "height": 4}),
     _malformed(hierarchy={"fanouts": [2], "mode": "fast"}),
+    _malformed(schema=True),
+    _malformed(grid={"width": 2, "height": 2, "values": [[1, 2], [3, 4]]}),
+    _malformed(hierarchy={"fanouts": [2], "redundant": "no"}),
 ], ids=["failure-without-fail", "query-without-regions", "short-rect", "string-in-rect",
         "aliases-list", "string-fanout", "top-level-list", "string-width", "random-not-object",
         "string-values", "list-name", "list-query-member", "fail-not-list", "alias-not-string",
@@ -338,7 +348,7 @@ def _malformed(**changes):
         "mixed-values", "float-value", "numeric-string-value", "value-above-int64",
         "value-above-uint64", "random-low-above-high", "random-high-above-int64",
         "negative-seed", "float-seed", "unsupported-schema", "no-values-or-random",
-        "bad-mode"])
+        "bad-mode", "boolean-schema", "nested-values", "string-redundant"])
 def test_malformed_scenario_exits_4(tmp_path, capsys, scenario):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario))

@@ -1,9 +1,9 @@
-"""The planner paths work on region masks and summed-area tables only: a
-region built from rectangles never builds its explicit location set while
-it is planned, divided or answered from the prefix-sum cube, and that cube
-is read in place, without building its per-cell tables. The
-construction wave works on slot arrays and builds no node state until one
-is read."""
+"""Every path works on region masks and summed-area tables only: a region
+built from rectangles never builds its explicit location set while it is
+planned, divided, answered from the prefix-sum cube, expanded by its
+corners, recovered across failures or rendered, and the prefix-sum cube is
+read in place, without building its per-cell tables. The construction wave
+works on slot arrays and builds no node state until one is read."""
 
 from gridcubes import protocol
 from gridcubes.cli import main
@@ -11,11 +11,12 @@ from gridcubes.division import greedy_divide
 from gridcubes.flow import build_flow_graph, combined_plan, min_cut_plan
 from gridcubes.grid import GridDims, GridValues, RectilinearRegion, region_from_rectangles
 from gridcubes.hierarchy import HierarchyConfig, build_hierarchy, color_tree
-from gridcubes.prefix import PrefixSumCube, build_ps_cube, ps_query_plan
+from gridcubes.prefix import PrefixSumCube, build_ps_cube, ps_query_plan, rectilinear_sum
+from gridcubes.recovery import FailureSet, RecoveryResult, plan_with_failures, recover_region
 
 from conftest import naive_region_sum
 
-from test_cli import THREE_LEVEL
+from test_cli import AREA, THREE_LEVEL
 
 
 def refuse(self):
@@ -47,6 +48,37 @@ def test_plan_divide_and_ps_plan_never_build_cell_sets(monkeypatch):
     expected = naive_region_sum(vals, a)
     assert plan.value == combined.plans[0].value == ps_plan.value == expected
     assert sum(h.value(c) for c in cover.cells) == expected
+
+
+def test_corner_expansion_recovery_and_render_never_build_cell_sets(monkeypatch, tmp_path):
+    dims = GridDims(16, 16)
+    vals = GridValues.random(dims, seed=4)
+    h = build_hierarchy(vals, HierarchyConfig(dims, (2, 2, 2)))
+    nodes = [(3, 3), (5, 9), (12, 13)]
+    enclosed = FailureSet.of(nodes, [h.cell_at(2, (4, 8))])
+    crossing = FailureSet.of(nodes, [h.cell_at(2, (8, 4))])
+    monkeypatch.setattr(RectilinearRegion, "_build_cells", refuse)
+    a = region_from_rectangles([((1, 2), (9, 7)), ((4, 6), (13, 14))], dims)
+    value, _ = rectilinear_sum(PrefixSumCube(h), a)
+    recovered = recover_region(h, enclosed, a)
+    # The dead cell leaves no finite cut, so this one reaches recovery.
+    assert isinstance(plan_with_failures(h, crossing, a), RecoveryResult)
+    assert main(["recover", "--scenario", AREA, "--region", "Q", "--fail", "cell:1:2,0",
+                 "--fail", "cell:1:2,2", "--fail", "cell:1:2,4"]) == 0
+    assert main(["render", "--scenario", THREE_LEVEL, "--region", "G",
+                 "--svg", str(tmp_path / "g.svg"), "--plan"]) == 0
+    monkeypatch.undo()
+    assert value == recovered.value == naive_region_sum(vals, a)
+
+
+def test_corner_expansion_at_1024_never_builds_cell_sets(monkeypatch):
+    dims = GridDims(1024, 1024)
+    vals = GridValues.random(dims, seed=1)
+    ps = PrefixSumCube(build_hierarchy(vals, HierarchyConfig(dims, (4, 4, 4, 4, 4))))
+    monkeypatch.setattr(RectilinearRegion, "_build_cells", refuse)
+    region = region_from_rectangles([((100, 100), (600, 600)), ((400, 500), (900, 880))], dims)
+    value, _ = rectilinear_sum(ps, region)
+    assert value == vals.region_sum(region)
 
 
 def refuse_state(*args):

@@ -194,11 +194,14 @@ def test_expansion_from_row_rectangles_cancels(rng):
 
 
 def test_multi_cell_region_stitches_exactly(rng):
-    vals, ps = random_cube(8, 8, (2, 2), seed=29)
-    for _ in range(60):
-        region = random_region(rng, 8, 8)
-        value, points = rectilinear_sum(ps, region)
-        assert value == naive_region_sum(vals, region)
+    # 11x7 and 9x6 clip the right and bottom cells; F1 = 1 makes level-1
+    # cells single locations.
+    for w, h, fanouts in [(8, 8, (2, 2)), (11, 7, (2, 3)), (9, 6, (1, 2, 3))]:
+        vals, ps = random_cube(w, h, fanouts, seed=29)
+        for _ in range(60):
+            region = random_region(rng, w, h)
+            value, points = rectilinear_sum(ps, region)
+            assert value == naive_region_sum(vals, region)
 
 
 def test_plan_single_full_cell_costs_one():

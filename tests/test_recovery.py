@@ -321,7 +321,8 @@ def test_overlapping_portions_keep_the_estimate_bound():
 @st.composite
 def failure_cases(draw):
     width, height = draw(st.integers(4, 12)), draw(st.integers(4, 12))
-    fanouts = draw(st.sampled_from([(2, 2), (2, 2, 2), (3, 2), (2, 3)]))
+    # With F1 = 1 the level-1 cells are single locations.
+    fanouts = draw(st.sampled_from([(2, 2), (2, 2, 2), (3, 2), (2, 3), (1, 2, 2)]))
     dims = GridDims(width, height)
     vals = GridValues.random(dims, seed=draw(st.integers(0, 2**16)), low=1, high=9)
     h = build_hierarchy(vals, HierarchyConfig(dims, fanouts))
