@@ -13,12 +13,13 @@ from .division import CellCover, greedy_divide
 from .errors import (BoundsError, ConfigError, GridCubesError, InfeasibleError,
                      RecoveryError, ScenarioError, ValidationError)
 from .flow import (CombinedResult, FlowGraph, QueryPlan, build_flow_graph,
-                   combined_plan, mark_failed, min_cut_plan)
+                   combined_plan, mark_failed, min_cut_plan, plan_query)
 from .grid import (CornerClassification, CornerKind, GridDims, GridValues, Rect,
                    RectilinearRegion, classify_corners, corner_counts,
                    region_from_rectangles)
 from .hierarchy import (Cell, Color, CubeHierarchy, HierarchyConfig,
-                        HierarchyTree, build_hierarchy, cell_of, color_tree)
+                        HierarchyTree, LevelColors, build_hierarchy, cell_of,
+                        color_tree, level_colors)
 from .prefix import (PrefixSumCube, PSDataPoint, build_ps_cube, corner_weights,
                      ps_query_plan, rectangle_sum, rectilinear_sum)
 from .protocol import (NodeState, Packet, SimStats, junction_level, node_slot,
@@ -32,12 +33,12 @@ __all__ = [
     "BoundsError", "ConfigError", "GridCubesError", "InfeasibleError",
     "RecoveryError", "ScenarioError", "ValidationError",
     "CombinedResult", "FlowGraph", "QueryPlan", "build_flow_graph",
-    "combined_plan", "mark_failed", "min_cut_plan",
+    "combined_plan", "mark_failed", "min_cut_plan", "plan_query",
     "CornerClassification", "CornerKind", "GridDims", "GridValues", "Rect",
     "RectilinearRegion", "classify_corners", "corner_counts",
     "region_from_rectangles",
     "Cell", "Color", "CubeHierarchy", "HierarchyConfig", "HierarchyTree",
-    "build_hierarchy", "cell_of", "color_tree",
+    "LevelColors", "build_hierarchy", "cell_of", "color_tree", "level_colors",
     "PrefixSumCube", "PSDataPoint", "build_ps_cube", "corner_weights",
     "ps_query_plan", "rectangle_sum", "rectilinear_sum",
     "NodeState", "Packet", "SimStats", "junction_level", "node_slot",

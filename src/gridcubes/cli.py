@@ -18,7 +18,7 @@ from functools import cache
 from .division import greedy_divide
 from .errors import (BoundsError, ConfigError, GridCubesError, InfeasibleError,
                      ScenarioError, ValidationError)
-from .flow import QueryPlan, build_flow_graph, combined_plan, min_cut_plan
+from .flow import QueryPlan, combined_plan, plan_query
 from .hierarchy import Cell, CubeHierarchy, color_tree
 from .prefix import build_ps_cube, ps_query_plan
 from .protocol import run_construction
@@ -88,10 +88,15 @@ def cmd_plan(scenario: Scenario, args, report: dict) -> int:
     h = scenario.hierarchy()
     failed = _failed_cells(scenario, h, args.fail)
     names = scenario.expand_query_names(args.region)
-    trees = [color_tree(h, scenario.region(name)) for name in names]
     out = {"queries": [], "infeasible": False}
     try:
-        result = combined_plan(trees, h, failed_cells=failed)
+        if len(names) == 1:
+            plans = (plan_query(h, scenario.region(names[0]), failed),)
+            retrieval = plans[0].points()
+        else:
+            trees = [color_tree(h, scenario.region(name)) for name in names]
+            result = combined_plan(trees, h, failed_cells=failed)
+            plans, retrieval = result.plans, result.retrieval
     except InfeasibleError as e:
         blocking = " ".join(sorted(c.label() for c in e.blocking))
         print(f"INFEASIBLE {blocking}")
@@ -100,15 +105,15 @@ def cmd_plan(scenario: Scenario, args, report: dict) -> int:
             e.blocking, key=lambda c: (c.level, c.bounds.y0, c.bounds.x0))]
         report["plan"] = out
         return EXIT_OK
-    for name, plan in zip(names, result.plans):
+    for name, plan in zip(names, plans):
         print(f"query {name}: {_plan_lines(plan)}")
         out["queries"].append({
             "region": name, "size": plan.size, "value": _value_json(plan.value),
             "terms": [dict(_cell_json(c), sign=s) for c, s in plan.terms]})
-    print(f"retrieval set: {len(result.retrieval)} points")
-    out["retrieval_size"] = len(result.retrieval)
+    print(f"retrieval set: {len(retrieval)} points")
+    out["retrieval_size"] = len(retrieval)
     out["retrieval"] = [_cell_json(c) for c in sorted(
-        result.retrieval, key=lambda c: (-c.level, c.bounds.y0, c.bounds.x0))]
+        retrieval, key=lambda c: (-c.level, c.bounds.y0, c.bounds.x0))]
     report["plan"] = out
     return EXIT_OK
 
@@ -181,11 +186,13 @@ def cmd_recover(scenario: Scenario, args, report: dict) -> int:
 def cmd_render(scenario: Scenario, args, report: dict) -> int:
     if not args.svg:
         raise ValidationError("render requires --svg PATH")
+    if len(args.region) > 1:
+        raise ValidationError("render takes at most one --region")
     h = scenario.hierarchy()
     region = scenario.region(args.region[0]) if args.region else None
     plan = None
     if args.plan and region is not None:
-        plan = min_cut_plan(build_flow_graph(color_tree(h, region)), h)
+        plan = plan_query(h, region)
     svg = render_svg(h, region, plan)
     with open(args.svg, "w") as fh:
         fh.write(svg)

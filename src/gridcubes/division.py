@@ -6,16 +6,18 @@ lies inside the region, so every cell lies inside a maximal fully-inside
 (grey) cell; those maximal cells are pairwise disjoint and tile the region.
 Each maximal grey cell must therefore hold at least one cover cell, and
 taking exactly the maximal grey cells gives the minimum cover. They are the
-grey nodes of the pruned colored tree.
+grey cells of the pruned colored tree, read from its level arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 from .grid import RectilinearRegion
-from .hierarchy import Cell, Color, CubeHierarchy, color_tree
+from .hierarchy import Cell, CubeHierarchy, level_colors
 
 
 @dataclass(frozen=True)
@@ -32,5 +34,8 @@ def greedy_divide(h: CubeHierarchy, region: RectilinearRegion) -> CellCover:
     """Minimum cover of `region`, cells ordered by top-left (y, x)."""
     if not region:
         raise ValidationError("cannot divide an empty region")
-    cells = color_tree(h, region).cells_by_color(Color.GREY)
+    cells = []
+    for lc in level_colors(h, region):
+        js, is_ = np.nonzero(lc.grey & lc.in_tree)
+        cells += h.config.indexed_cells(lc.level, (is_ + lc.i0).tolist(), (js + lc.j0).tolist())
     return CellCover(tuple(sorted(cells, key=lambda c: (c.bounds.y0, c.bounds.x0))), region)

@@ -34,6 +34,24 @@ cost on either side; one top-down pass places each replica, sending ties to
 the sink side, which reproduces the canonical minimum cut: the unique one
 with the smallest source side. ROOT is placed by the DP as well, so the cut
 value stays exact (equal to the maximum flow) when no finite cut exists.
+
+One query, with or without failed cells, is planned by `plan_query` on the
+level arrays of `hierarchy.level_colors`, with no tree node and no network:
+the rules of `_solve` applied to one tree, one level at a time. A cell's
+data point costs 1, or a sentinel larger than any finite cut when it is
+lost, as `mark_failed` makes it. Bottom up, with S the source side and T
+the sink side, each tree cell adds to its parent's cost: a grey cell its
+point on T, a white cell its point on S, and a partial cell whose subtree
+costs s on S and t on T adds min(t, s + point) on T and min(t + point, s)
+on S. With no lost point, a level-1 cell's t is its count of region
+locations and its s the rest of its area. ROOT -> SINK puts ROOT on T in
+every finite cut. Top down, a partial cell under a parent on S goes to S
+iff s < t + point, and under a parent on T iff s + point < t: `_solve`'s
+tie rule. A plan term is a tree cell whose side differs from its parent's,
++ for a cell on S under a parent on T and - the other way round. Only an
+infeasible instance builds the network, for its canonical blocking cells.
+The network stays as the reduction written out, the batch planner and the
+tests' oracle.
 """
 
 from __future__ import annotations
@@ -41,8 +59,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import InfeasibleError, ValidationError
-from .hierarchy import Cell, Color, CubeHierarchy, HierarchyTree
+from .grid import RectilinearRegion
+from .hierarchy import Cell, Color, CubeHierarchy, HierarchyTree, color_tree, level_colors
 
 SOURCE = 0
 SINK = 1
@@ -366,6 +387,84 @@ def _check_feasible(g: FlowGraph, value: int, blocking: frozenset[Cell]):
             blocking=blocking)
 
 
+def _array_plan(h: CubeHierarchy, region: RectilinearRegion,
+                failed_cells: Iterable[Cell] = ()) -> QueryPlan | None:
+    """`min_cut_plan`'s plan for one region, by the per-level rules of the
+    module docstring; None when the failed cells leave no finite cut."""
+    levels = level_colors(h, region)
+    if not levels:
+        return QueryPlan((), 0)
+    config = h.config
+    # A finite cut reads each cell at most once, so this exceeds every one.
+    inf = 1 + sum(h.level_array(k).size for k in range(h.height + 1))
+    lost: dict[int, list[tuple[int, int]]] = {}
+    for cell in failed_cells:
+        side = config.side(cell.level)
+        lost.setdefault(cell.level, []).append((cell.bounds.y0 // side, cell.bounds.x0 // side))
+    weights = []  # per level, each cell's data-point cost: 1, or inf when lost
+    for lc in levels:
+        w = 1
+        if lc.level in lost:
+            w = np.ones(lc.grey.shape, dtype=np.int64)
+            js, is_ = (np.array(lost[lc.level]) - (lc.j0, lc.i0)).T
+            inside = (js >= 0) & (js < w.shape[0]) & (is_ >= 0) & (is_ < w.shape[1])
+            w[js[inside], is_[inside]] = inf
+        weights.append(w)
+
+    def priced(cells, w):
+        """The data-point cost of each of `cells`, 0 elsewhere (the mask
+        itself when no point at the level is lost)."""
+        return cells if np.isscalar(w) else np.where(cells, w, 0)
+
+    subtree = []  # per level, each partial cell's subtree cost on S and on T
+    s = t = 0
+    for lc, w in zip(levels, weights):
+        subtree.append((s, t))
+        to_s, to_t = priced(lc.white, w), priced(lc.grey, w)
+        if lc.level:  # level 0 holds no partial cell
+            to_s = to_s + np.where(lc.partial, np.minimum(t + w, s), 0)
+            to_t = to_t + np.where(lc.partial, np.minimum(t, s + w), 0)
+        if lc.level < h.height:
+            s, t = levels[lc.level + 1].gather(to_s), levels[lc.level + 1].gather(to_t)
+    # ROOT -> SINK puts ROOT on S at cost inf, so a finite cut has ROOT on T.
+    if to_t.sum() >= inf:
+        return None
+
+    plus, minus = [], []  # per level, from the top: cells on S under T, on T under S
+    above = np.False_  # ROOT's side
+    for k in range(h.height, -1, -1):
+        lc, w, (s, t) = levels[k], weights[k], subtree[k]
+        if k < h.height:
+            above = levels[k + 1].spread(side)
+        side = lc.grey | (lc.partial & np.where(above, s < t + w, s + w < t))
+        turn = lc.in_tree & (side != above)
+        plus.append((lc, turn & side))
+        minus.append((lc, turn & ~side))
+
+    terms, values = [], []
+    for sign, picks in ((1, plus), (-1, minus)):
+        for lc, pick in picks:
+            js, is_ = np.nonzero(pick)
+            cols, rows = (is_ + lc.i0).tolist(), (js + lc.j0).tolist()
+            terms += [(c, sign) for c in config.indexed_cells(lc.level, cols, rows)]
+            values += h.level_array(lc.level)[rows, cols].tolist()
+    # Terms come in _extract_plans' order, and are summed in it.
+    value = sum(s * v for (_, s), v in zip(terms, values))
+    return QueryPlan(tuple(terms), value)
+
+
+def plan_query(h: CubeHierarchy, region: RectilinearRegion,
+               failed_cells: Iterable[Cell] = ()) -> QueryPlan:
+    """`min_cut_plan(mark_failed(build_flow_graph(color_tree(h, region)),
+    failed_cells), h)`, planned on the level arrays. Only an infeasible
+    instance builds the graph, for the canonical InfeasibleError."""
+    failed_cells = tuple(failed_cells)
+    plan = _array_plan(h, region, failed_cells)
+    if plan is None:
+        return min_cut_plan(mark_failed(build_flow_graph(color_tree(h, region)), failed_cells), h)
+    return plan
+
+
 def min_cut_plan(g: FlowGraph, h: CubeHierarchy) -> QueryPlan:
     """The provably smallest signed data-point set answering the query.
 
@@ -414,10 +513,7 @@ def combined_plan(trees: Sequence[HierarchyTree], h: CubeHierarchy,
     individual_plans = []
     individual_points: set[Cell] = set()
     for tree in trees:
-        gi = build_flow_graph(tree)
-        if failed:
-            gi = mark_failed(gi, failed)
-        plan = min_cut_plan(gi, h)
+        plan = plan_query(h, tree.region, failed)
         individual_plans.append(plan)
         individual_points.update(plan.points())
 

@@ -7,14 +7,16 @@ tiling. Each cell's summary is stored at its junction, the lower-right corner
 of its bounds. Individual grid locations act as degenerate level-0 cells.
 Each layout decision is written once, here: HierarchyConfig holds the level
 sides, the junction levels of all nodes as one array (`junction_levels`,
-which `junction_level` reads), and the clipped block rule (`block_cells`)
-that `cell_of`, `cells_of`, `children` and `child_junction` make their cells
-with. `cell_prefix` is the one in-cell 2-D prefix routine.
+which `junction_level` reads), and the clipped block rule (`_spans`). Cells
+are made with it by `block_cells` (for `cell_of`, `cells_of`, `children` and
+`child_junction`) and `indexed_cells`, and `level_colors` takes its cell
+areas from it. `cell_prefix` is the one in-cell 2-D prefix routine.
 
 The summaries of one level form one array in block layout, built from the
 level below by a zero-pad, a reshape and a sum; Cell objects are made only
 when a caller asks for them. Coloring a cell against a region takes four
-lookups in the region's summed-area table.
+lookups in the region's summed-area table; `level_colors` colors a whole
+level at once, by block sums of the region mask.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -81,14 +83,24 @@ class HierarchyConfig:
             object.__setattr__(self, "_junctions", levels)
         return self._junctions
 
-    def block_cells(self, level: int, cols: range, rows: range) -> list[Cell]:
-        """The level-k cells in block columns `cols` and rows `rows`, row-major,
-        clipped at the grid edge; since cells nest, a child block then ends
-        exactly at its parent's edge."""
+    def _spans(self, level: int, blocks, extent: int) -> list[tuple[int, int]]:
+        """(first, last) grid column or row of each level-k block, clipped at
+        `extent`; since cells nest, a child block then ends exactly at its
+        parent's edge."""
         side = self._sides[level]
-        xs = [(i * side, min(i * side + side, self.dims.width) - 1) for i in cols]
-        ys = [(j * side, min(j * side + side, self.dims.height) - 1) for j in rows]
+        return [(b * side, min(b * side + side, extent) - 1) for b in blocks]
+
+    def block_cells(self, level: int, cols: range, rows: range) -> list[Cell]:
+        """The level-k cells in block columns `cols` and rows `rows`, row-major."""
+        xs = self._spans(level, cols, self.dims.width)
+        ys = self._spans(level, rows, self.dims.height)
         return [Cell(level, Rect(x0, y0, x1, y1)) for y0, y1 in ys for x0, x1 in xs]
+
+    def indexed_cells(self, level: int, cols, rows) -> list[Cell]:
+        """The level-k cells in block column cols[n] and row rows[n], in order."""
+        xs = self._spans(level, cols, self.dims.width)
+        ys = self._spans(level, rows, self.dims.height)
+        return [Cell(level, Rect(x0, y0, x1, y1)) for (x0, x1), (y0, y1) in zip(xs, ys)]
 
     def child_grid(self, cell: Cell) -> tuple[int, int, int]:
         """(child side length, columns, rows) of a cell's child-block grid;
@@ -322,3 +334,104 @@ def color_tree(h: CubeHierarchy, region: RectilinearRegion) -> HierarchyTree:
     whole = len(region) == h.dims.width * h.dims.height
     root = TreeNode(None, Color.GREY if whole else Color.PARTIAL, kids)
     return HierarchyTree(root, h, region)
+
+
+@dataclass(frozen=True)
+class LevelColors:
+    """One level of a region's pruned colored tree, as boolean arrays.
+
+    Entry [j, i] is the level-k cell in block row j0 + j and block column
+    i0 + i. `core` is the block of cells meeting the region's bounding box,
+    so every partial cell lies in it. Below the top, the arrays hold the
+    children of the next level's core; at the top, the core alone. Entries
+    past the grid edge are no cell, and every flag is False there.
+    """
+
+    level: int
+    fanout: int  # children per side (1 at level 0, which has none)
+    i0: int
+    j0: int
+    core: tuple[slice, slice]
+    grey: np.ndarray
+    white: np.ndarray
+    partial: np.ndarray
+    in_tree: np.ndarray  # the parent is partial (ROOT, for the top cells)
+
+    def spread(self, a: np.ndarray) -> np.ndarray:
+        """Each core entry of `a` repeated over its children, laid out as the
+        level below's arrays."""
+        f = self.fanout
+        return np.repeat(np.repeat(a[self.core], f, axis=0), f, axis=1)
+
+    def gather(self, a: np.ndarray) -> np.ndarray:
+        """The sums of the level below's array `a` over each core cell's
+        children, laid out as this level's arrays (0 off the core)."""
+        out = np.zeros(self.grey.shape, dtype=np.int64)
+        rows, cols = out[self.core].shape
+        out[self.core] = a.reshape(rows, self.fanout, cols, self.fanout).sum(axis=(1, 3))
+        return out
+
+
+def level_colors(h: CubeHierarchy, region: RectilinearRegion) -> tuple[LevelColors, ...]:
+    """The tree `color_tree` builds, as arrays per level, level 0 first;
+    none for the empty region.
+
+    The region's count in each cell is a block sum of the mask at level 1,
+    and of the counts of the level below above it, taken with the same pad
+    plus reshape-sum as `build_hierarchy` over the cells meeting the
+    region's bounding box. A cell is grey when its count is its area, white
+    when it is 0, and partial otherwise.
+    """
+    if not region.within(h.dims):
+        raise BoundsError("region extends outside the grid")
+    if not region:
+        return ()
+    config = h.config
+    top = config.height
+    rows, cols = region.mask.shape
+    x0, y0 = region.x0, region.y0
+    cores = [(x0 // side, (x0 + cols - 1) // side, y0 // side, (y0 + rows - 1) // side)
+             for side in map(config.side, range(top + 1))]
+
+    def extents(first, last, level, size):
+        """Lengths of blocks first..last, 0 for a block past the grid edge."""
+        spans = config._spans(level, range(first, last + 1), size)
+        return np.array([max(end - start + 1, 0) for start, end in spans])
+
+    windows, colors = [], []
+    counts = None
+    for level, (ci0, ci1, cj0, cj1) in enumerate(cores):
+        if level < top:
+            f = config.fanouts[level]
+            pi0, pi1, pj0, pj1 = cores[level + 1]
+            i0, i1, j0, j1 = pi0 * f, pi1 * f + f - 1, pj0 * f, pj1 * f + f - 1
+        else:
+            i0, i1, j0, j1 = ci0, ci1, cj0, cj1
+        core = (slice(cj0 - j0, cj1 - j0 + 1), slice(ci0 - i0, ci1 - i0 + 1))
+        windows.append((i0, j0, core))
+        shape = (j1 - j0 + 1, i1 - i0 + 1)
+        if level == 0:  # locations, each in the region or not
+            counts = np.zeros(shape, dtype=bool)
+            counts[core] = region.mask
+            exists = np.outer(np.arange(j0, j1 + 1) < h.dims.height,
+                              np.arange(i0, i1 + 1) < h.dims.width)
+            colors.append((counts, exists & ~counts, np.zeros(shape, dtype=bool), exists))
+            continue
+        below, counts = counts, np.zeros(shape, dtype=np.int64)
+        f = config.fanouts[level - 1]
+        counts[core] = below.reshape(cj1 - cj0 + 1, f, ci1 - ci0 + 1, f).sum(axis=(1, 3))
+        area = np.outer(extents(j0, j1, level, h.dims.height),
+                        extents(i0, i1, level, h.dims.width))
+        exists = area > 0
+        colors.append((exists & (counts == area), exists & (counts == 0),
+                       (counts > 0) & (counts < area), exists))
+
+    out = []
+    parent = None
+    for level in range(top, -1, -1):
+        grey, white, partial, exists = colors[level]
+        in_tree = exists if parent is None else exists & parent.spread(parent.partial)
+        parent = LevelColors(level, config.fanouts[level - 1] if level else 1,
+                             *windows[level], grey, white, partial, in_tree)
+        out.append(parent)
+    return tuple(reversed(out))

@@ -24,10 +24,12 @@ from enum import Enum
 from fractions import Fraction
 from functools import partial
 
-from .errors import InfeasibleError, RecoveryError
-from .flow import build_flow_graph, mark_failed, min_cut_plan
+import numpy as np
+
+from .errors import BoundsError, RecoveryError
+from .flow import _array_plan, plan_query
 from .grid import Coord, RectilinearRegion
-from .hierarchy import Cell, CubeHierarchy, HierarchyConfig, cell_of, color_tree
+from .hierarchy import Cell, CubeHierarchy, HierarchyConfig, cell_of
 from .protocol import NodeState, node_slot
 
 
@@ -302,11 +304,29 @@ def recover_junction(states: Mapping[Coord, NodeState], failed: Coord, level: in
 
 def failed_datapoints(h: CubeHierarchy, failures: FailureSet) -> set[Cell]:
     """Cells whose stored summary is lost: junction inside the failed area,
-    plus the readings of the failed nodes themselves."""
+    plus the readings of the failed nodes themselves. Level 0 is the dead
+    locations, and level k the dead locations of junction level k or more."""
+    config = h.config
     out: set[Cell] = set()
-    for p in failures.area():
-        out.add(cell_of(h.config, 0, p))
-        out.update(h.cells_at(p))
+    if not (failures.nodes or failures.cells):
+        return out
+    dead = np.zeros((config.dims.height, config.dims.width), dtype=bool)
+    for p in failures.nodes:
+        if not config.dims.contains(p):
+            raise BoundsError(f"{p} outside grid {config.dims}")
+        dead[p[1], p[0]] = True
+    for c in failures.cells:
+        b = c.bounds
+        if not (config.dims.contains((b.x0, b.y0)) and config.dims.contains((b.x1, b.y1))):
+            raise BoundsError(f"{c.label()} outside grid {config.dims}")
+        dead[b.y0:b.y1 + 1, b.x0:b.x1 + 1] = True
+    ys, xs = np.nonzero(dead)
+    junction = config.junction_levels()[ys, xs]
+    for level in range(h.height + 1):
+        at = junction >= level
+        side = config.side(level)
+        out.update(config.indexed_cells(level, (xs[at] // side).tolist(),
+                                        (ys[at] // side).tolist()))
     return out
 
 
@@ -353,9 +373,8 @@ def _exact_over(h: CubeHierarchy, region: RectilinearRegion, failed: set[Cell]) 
     """Exact sum over an all-alive region by its min-cut plan."""
     # Every grey cell of an all-alive region has its junction inside the
     # region, so its summary is readable: the cut reading exactly the maximal
-    # grey cells is finite and min_cut_plan cannot raise InfeasibleError.
-    g = mark_failed(build_flow_graph(color_tree(h, region)), failed)
-    plan = min_cut_plan(g, h)
+    # grey cells is finite and plan_query cannot raise InfeasibleError.
+    plan = plan_query(h, region, failed)
     return plan.value, plan.size
 
 
@@ -442,8 +461,7 @@ def plan_with_failures(h: CubeHierarchy, failures: FailureSet,
     estimated or unrecoverable) otherwise.
     """
     failed_dps = failed_datapoints(h, failures)
-    g = mark_failed(build_flow_graph(color_tree(h, query)), failed_dps)
-    try:
-        return min_cut_plan(g, h)
-    except InfeasibleError:
+    plan = _array_plan(h, query, failed_dps)
+    if plan is None:
         return recover_region(h, failures, query, failed_dps)
+    return plan

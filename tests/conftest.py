@@ -5,8 +5,8 @@ check: corner classification is re-derived by scanning every lattice point,
 cover minimality by branch-and-bound exact cover, cut properties by
 enumerating all partial-node assignments, prefix-sum plan costs by exact
 cover over every single-cell piece, prefix-sum answers by direct
-summation, and the construction wave by applying the per-node protocol rule
-node by node.
+summation, the construction wave by applying the per-node protocol rule
+node by node, and the lost summaries location by location.
 """
 
 from __future__ import annotations
@@ -115,6 +115,16 @@ def has_pinch(region: RectilinearRegion) -> bool:
         if nw + ne + sw + se == 2 and ((nw and se) or (ne and sw)):
             return True
     return False
+
+
+def reference_failed_datapoints(h: CubeHierarchy, failures) -> set:
+    """The lost summaries, location by location: each failed location's
+    reading and every cell junctioned at it."""
+    out = set()
+    for p in failures.area():
+        out.add(cell_of(h.config, 0, p))
+        out.update(h.cells_at(p))
+    return out
 
 
 def naive_region_sum(values: GridValues, region: RectilinearRegion) -> int:

@@ -243,6 +243,15 @@ def test_render_without_svg_exits_4(capsys):
     assert "render requires --svg" in err
 
 
+def test_render_takes_at_most_one_region(tmp_path, capsys):
+    target = tmp_path / "two.svg"
+    code, _, err = run(capsys, "render", "--scenario", THREE_LEVEL, "--region", "G",
+                       "--region", "Q2", "--svg", str(target))
+    assert code == 4
+    assert "render takes at most one --region" in err
+    assert not target.exists()
+
+
 def test_exit_code_bounds_violation(tmp_path, capsys):
     bad = tmp_path / "oob.json"
     bad.write_text(json.dumps({

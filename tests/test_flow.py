@@ -1,10 +1,11 @@
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridcubes.errors import InfeasibleError
 from gridcubes.division import greedy_divide
 from gridcubes.flow import (ROOT, SINK, SOURCE, _build_graph, _solve, build_flow_graph,
-                            combined_plan, mark_failed, min_cut_plan)
+                            combined_plan, mark_failed, min_cut_plan, plan_query)
 from gridcubes.grid import GridDims, GridValues, RectilinearRegion, region_from_rectangles
 from gridcubes.hierarchy import Color, HierarchyConfig, build_hierarchy, color_tree
 
@@ -304,6 +305,9 @@ def test_mark_failed_infeasible_pair():
     with pytest.raises(InfeasibleError) as err:
         min_cut_plan(mark_failed(g, failed), h)
     assert err.value.blocking == failed
+    with pytest.raises(InfeasibleError) as err:
+        plan_query(h, demo_region(), failed)
+    assert err.value.blocking == failed
 
 
 def test_mark_failed_outside_tree_is_noop():
@@ -410,3 +414,67 @@ def test_restoring_blocking_cells_makes_instance_feasible(rng):
             assert _solve(restored)[0] <= restored.unit_count
             checked += 1
     assert checked >= 20
+
+
+@st.composite
+def planning_cases(draw):
+    """A cube over a grid of 1-14 per side (so clipped edges too) with
+    integer readings or readings in quarters, a region that is empty, the
+    whole grid or 1-3 rectangles, and up to 8 failed cells of any level."""
+    width, height = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    # With F1 = 1 the level-1 cells are single locations.
+    fanouts = draw(st.sampled_from([(2, 2), (2, 2, 2), (3, 2), (2, 3), (1, 2, 2),
+                                    (1, 3), (4, 2)]))
+    dims = GridDims(width, height)
+    vals = GridValues.random(dims, seed=draw(st.integers(0, 2**16)), low=-9, high=9)
+    if draw(st.booleans()):
+        vals = GridValues(dims, vals.array / 4)
+    h = build_hierarchy(vals, HierarchyConfig(dims, fanouts))
+    point = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    shape = draw(st.sampled_from(["empty", "whole", "rectangles", "rectangles"]))
+    if shape == "empty":
+        region = RectilinearRegion.empty()
+    elif shape == "whole":
+        region = region_from_rectangles([((0, 0), (width - 1, height - 1))], dims)
+    else:
+        corners = draw(st.lists(st.tuples(point, point), min_size=1, max_size=3))
+        region = region_from_rectangles(
+            [((min(x0, x1), min(y0, y1)), (max(x0, x1), max(y0, y1)))
+             for (x0, y0), (x1, y1) in corners], dims)
+    failed = {h.cell_at(draw(st.integers(0, h.height)), p)
+              for p in draw(st.lists(point, max_size=8))}
+    return vals, h, region, failed
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(planning_cases())
+def test_plan_query_matches_the_graph_planner(case):
+    vals, h, region, failed = case
+    g = mark_failed(build_flow_graph(color_tree(h, region)), failed)
+    try:
+        want = min_cut_plan(g, h)
+    except InfeasibleError as err:
+        with pytest.raises(InfeasibleError) as got:
+            plan_query(h, region, failed)
+        assert got.value.blocking == err.blocking
+        return
+    plan = plan_query(h, region, failed)
+    assert plan.terms == want.terms
+    assert plan.value == want.value
+    assert type(plan.value) is type(want.value)
+    if region:
+        cover = greedy_divide(h, region).cells
+        assert set(cover) == color_tree(h, region).cells_by_color(Color.GREY)
+        assert list(cover) == sorted(cover, key=lambda c: (c.bounds.y0, c.bounds.x0))
+
+
+def test_plan_query_sends_ties_under_a_source_side_parent_to_the_sink():
+    # L2(0,0) sits on S. Its partial child L1(0,0) costs 5 on S (its white
+    # children), and 4 on T (its grey children) plus its own data point for
+    # leaving its parent's side: a tie, which the canonical cut sends to T.
+    dims = GridDims(4, 4)
+    h = build_hierarchy(GridValues.random(dims, seed=1), HierarchyConfig(dims, (3, 2)))
+    region = region_from_rectangles([((1, 1), (3, 3))], dims)
+    plan = plan_query(h, region)
+    assert plan == min_cut_plan(build_flow_graph(color_tree(h, region)), h)
+    assert (cell_by_label(h, "L1(0,0)"), -1) in plan.terms

@@ -2,15 +2,17 @@
 built from rectangles never builds its explicit location set while it is
 planned, divided, answered from the prefix-sum cube, expanded by its
 corners, recovered across failures or rendered, and the prefix-sum cube is
-read in place, without building its per-cell tables. The construction wave
+read in place, without building its per-cell tables. A single query, with
+or without failed cells, and a division are planned on level arrays,
+without building a colored tree or a flow network. The construction wave
 works on slot arrays and builds no node state until one is read."""
 
 from gridcubes import protocol
 from gridcubes.cli import main
 from gridcubes.division import greedy_divide
-from gridcubes.flow import build_flow_graph, combined_plan, min_cut_plan
+from gridcubes.flow import FlowGraph, QueryPlan, build_flow_graph, combined_plan, min_cut_plan, plan_query
 from gridcubes.grid import GridDims, GridValues, RectilinearRegion, region_from_rectangles
-from gridcubes.hierarchy import HierarchyConfig, build_hierarchy, color_tree
+from gridcubes.hierarchy import HierarchyConfig, TreeNode, build_hierarchy, color_tree
 from gridcubes.prefix import PrefixSumCube, build_ps_cube, ps_query_plan, rectilinear_sum
 from gridcubes.recovery import FailureSet, RecoveryResult, plan_with_failures, recover_region
 
@@ -69,6 +71,34 @@ def test_corner_expansion_recovery_and_render_never_build_cell_sets(monkeypatch,
                  "--svg", str(tmp_path / "g.svg"), "--plan"]) == 0
     monkeypatch.undo()
     assert value == recovered.value == naive_region_sum(vals, a)
+
+
+def refuse_tree_or_graph(self, *args, **kwargs):
+    raise AssertionError("a colored tree node or a flow network was built")
+
+
+def test_single_queries_and_divisions_build_no_tree_or_graph(monkeypatch, tmp_path):
+    dims = GridDims(16, 16)
+    vals = GridValues.random(dims, seed=6)
+    h = build_hierarchy(vals, HierarchyConfig(dims, (2, 2, 2)))
+    a = region_from_rectangles([((1, 2), (9, 7)), ((4, 6), (13, 14))], dims)
+    nodes = FailureSet.of([(3, 3), (5, 9), (12, 13)])
+    crossing = FailureSet.of(nodes.nodes, [h.cell_at(2, (8, 4))])
+    monkeypatch.setattr(TreeNode, "__init__", refuse_tree_or_graph)
+    monkeypatch.setattr(FlowGraph, "__init__", refuse_tree_or_graph)
+    plan = plan_query(h, a)
+    cover = greedy_divide(h, a)
+    exact = plan_with_failures(h, nodes, a)
+    recovered = plan_with_failures(h, crossing, a)
+    for argv in (["plan", "--region", "G"], ["plan", "--region", "G", "--fail", "4"],
+                 ["divide", "--region", "G"],
+                 ["render", "--region", "G", "--svg", str(tmp_path / "g.svg"), "--plan"]):
+        assert main(argv[:1] + ["--scenario", THREE_LEVEL] + argv[1:]) == 0
+    monkeypatch.undo()
+    assert isinstance(exact, QueryPlan) and isinstance(recovered, RecoveryResult)
+    assert plan == min_cut_plan(build_flow_graph(color_tree(h, a)), h)
+    assert plan.value == exact.value == naive_region_sum(vals, a)
+    assert sum(h.value(c) for c in cover.cells) == plan.value
 
 
 def test_corner_expansion_at_1024_never_builds_cell_sets(monkeypatch):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridcubes.errors import RecoveryError
+from gridcubes.errors import BoundsError, RecoveryError
 from gridcubes.flow import QueryPlan
 from gridcubes.grid import GridDims, GridValues, Rect, region_from_rectangles
 from gridcubes.hierarchy import HierarchyConfig, build_hierarchy
@@ -12,7 +12,7 @@ from gridcubes.recovery import (FailureSet, RecoveryKind, _linear_block_solve,
                                 failed_datapoints, plan_with_failures,
                                 recover_junction, recover_node, recover_region)
 
-from conftest import naive_region_sum
+from conftest import naive_region_sum, reference_failed_datapoints
 
 MATRIX = [[12, 8, 10, 6],
           [20, 7, 11, 4],
@@ -197,6 +197,8 @@ def test_failed_datapoints_include_enclosing_junctions():
     failures = FailureSet.of(nodes=[(7, 7)])
     cells = failed_datapoints(h, failures)
     assert {c.level for c in cells} == {0, 1, 2, 3}
+    with pytest.raises(BoundsError):
+        failed_datapoints(h, FailureSet.of(nodes=[(8, 0)]))
 
 
 def area_failure_setup():
@@ -347,3 +349,10 @@ def test_answers_under_failure_match_naive_summation(case):
         assert res.value == naive_region_sum(vals, query)
     else:
         assert_recovery_bounds(vals, failures, query, res)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(failure_cases())
+def test_failed_datapoints_match_the_per_location_rule(case):
+    _, h, failures, _ = case
+    assert failed_datapoints(h, failures) == reference_failed_datapoints(h, failures)
