@@ -16,7 +16,10 @@ different color groups gets one replica per group. When a grey or white
 replica coexists with a partial replica of the same cell, a small gadget node
 funnels both through a single unit edge so that no two edges of one data
 point can ever cross the same cut; the one min cut then yields all per-query
-plans and the shared retrieval set.
+plans and the shared retrieval set. Under failures a shared partial replica
+may be forced to the source side by one query's lost point and to the sink
+side by another's, so `combined_plan` falls back to per-query plans, and
+reports infeasibility only when some query alone has no finite cut.
 
 Infinity is a sentinel capacity one above the total unit capacity, so an
 infeasible instance (possible only after failures) is detected by the cut
@@ -35,23 +38,24 @@ the sink side, which reproduces the canonical minimum cut: the unique one
 with the smallest source side. ROOT is placed by the DP as well, so the cut
 value stays exact (equal to the maximum flow) when no finite cut exists.
 
-One query, with or without failed cells, is planned by `plan_query` on the
-level arrays of `hierarchy.level_colors`, with no tree node and no network:
-the rules of `_solve` applied to one tree, one level at a time. A cell's
-data point costs 1, or a sentinel larger than any finite cut when it is
-lost, as `mark_failed` makes it. Bottom up, with S the source side and T
-the sink side, each tree cell adds to its parent's cost: a grey cell its
-point on T, a white cell its point on S, and a partial cell whose subtree
-costs s on S and t on T adds min(t, s + point) on T and min(t + point, s)
-on S. With no lost point, a level-1 cell's t is its count of region
-locations and its s the rest of its area. ROOT -> SINK puts ROOT on T in
-every finite cut. Top down, a partial cell under a parent on S goes to S
-iff s < t + point, and under a parent on T iff s + point < t: `_solve`'s
-tie rule. A plan term is a tree cell whose side differs from its parent's,
-+ for a cell on S under a parent on T and - the other way round. Only an
-infeasible instance builds the network, for its canonical blocking cells.
-The network stays as the reduction written out, the batch planner and the
-tests' oracle.
+One query is planned by `_array_plan` on the level arrays of
+`hierarchy.level_colors`, with no tree node and no network: the rules of
+`_solve` applied to one tree, one level at a time. Lost points come as one
+bool array per level (`recovery.lost_points`, or `plan_query`'s failed
+cells). A cell's data point costs 1, or a sentinel larger than any finite
+cut when it is lost, as `mark_failed` makes it. Bottom up, with S the source
+side and T the sink side, each tree cell adds to its parent's cost: a grey
+cell its point on T, a white cell its point on S, and a partial cell whose
+subtree costs s on S and t on T adds min(t, s + point) on T and
+min(t + point, s) on S. With no lost point, a level-1 cell's t is its count
+of region locations and its s the rest of its area. ROOT -> SINK puts ROOT
+on T in every finite cut. Top down, a partial cell under a parent on S goes
+to S iff s < t + point, and under a parent on T iff s + point < t:
+`_solve`'s tie rule. A plan term is a tree cell whose side differs from its
+parent's, + for a cell on S under a parent on T and - the other way round.
+Only an infeasible instance builds the network, for its canonical blocking
+cells. The network stays as the reduction written out, the batch planner
+and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -388,39 +392,28 @@ def _check_feasible(g: FlowGraph, value: int, blocking: frozenset[Cell]):
 
 
 def _array_plan(h: CubeHierarchy, region: RectilinearRegion,
-                failed_cells: Iterable[Cell] = ()) -> QueryPlan | None:
+                lost: Sequence[np.ndarray] | None) -> QueryPlan | None:
     """`min_cut_plan`'s plan for one region, by the per-level rules of the
-    module docstring; None when the failed cells leave no finite cut."""
+    module docstring; None when the lost points (one bool array per level,
+    laid out as `h.level_array(k)`, or None) leave no finite cut."""
     levels = level_colors(h, region)
     if not levels:
         return QueryPlan((), 0)
-    config = h.config
     # A finite cut reads each cell at most once, so this exceeds every one.
     inf = 1 + sum(h.level_array(k).size for k in range(h.height + 1))
-    lost: dict[int, list[tuple[int, int]]] = {}
-    for cell in failed_cells:
-        side = config.side(cell.level)
-        lost.setdefault(cell.level, []).append((cell.bounds.y0 // side, cell.bounds.x0 // side))
     weights = []  # per level, each cell's data-point cost: 1, or inf when lost
-    for lc in levels:
-        w = 1
-        if lc.level in lost:
-            w = np.ones(lc.grey.shape, dtype=np.int64)
-            js, is_ = (np.array(lost[lc.level]) - (lc.j0, lc.i0)).T
-            inside = (js >= 0) & (js < w.shape[0]) & (is_ >= 0) & (is_ < w.shape[1])
-            w[js[inside], is_[inside]] = inf
-        weights.append(w)
-
-    def priced(cells, w):
-        """The data-point cost of each of `cells`, 0 elsewhere (the mask
-        itself when no point at the level is lost)."""
-        return cells if np.isscalar(w) else np.where(cells, w, 0)
-
     subtree = []  # per level, each partial cell's subtree cost on S and on T
     s = t = 0
-    for lc, w in zip(levels, weights):
+    for lc in levels:
+        w = 1
+        if lost is not None:
+            w = np.ones(lc.grey.shape, dtype=np.int64)
+            rows, cols = w.shape
+            window = lost[lc.level][lc.j0:lc.j0 + rows, lc.i0:lc.i0 + cols]
+            w[:window.shape[0], :window.shape[1]][window] = inf
+        weights.append(w)
         subtree.append((s, t))
-        to_s, to_t = priced(lc.white, w), priced(lc.grey, w)
+        to_s, to_t = lc.white * w, lc.grey * w
         if lc.level:  # level 0 holds no partial cell
             to_s = to_s + np.where(lc.partial, np.minimum(t + w, s), 0)
             to_t = to_t + np.where(lc.partial, np.minimum(t, s + w), 0)
@@ -446,7 +439,7 @@ def _array_plan(h: CubeHierarchy, region: RectilinearRegion,
         for lc, pick in picks:
             js, is_ = np.nonzero(pick)
             cols, rows = (is_ + lc.i0).tolist(), (js + lc.j0).tolist()
-            terms += [(c, sign) for c in config.indexed_cells(lc.level, cols, rows)]
+            terms += [(c, sign) for c in h.config.indexed_cells(lc.level, cols, rows)]
             values += h.level_array(lc.level)[rows, cols].tolist()
     # Terms come in _extract_plans' order, and are summed in it.
     value = sum(s * v for (_, s), v in zip(terms, values))
@@ -459,7 +452,13 @@ def plan_query(h: CubeHierarchy, region: RectilinearRegion,
     failed_cells), h)`, planned on the level arrays. Only an infeasible
     instance builds the graph, for the canonical InfeasibleError."""
     failed_cells = tuple(failed_cells)
-    plan = _array_plan(h, region, failed_cells)
+    lost = None
+    if failed_cells:
+        lost = [np.zeros(h.level_array(k).shape, dtype=bool) for k in range(h.height + 1)]
+        for cell in failed_cells:
+            side = h.config.side(cell.level)
+            lost[cell.level][cell.bounds.y0 // side, cell.bounds.x0 // side] = True
+    plan = _array_plan(h, region, lost)
     if plan is None:
         return min_cut_plan(mark_failed(build_flow_graph(color_tree(h, region)), failed_cells), h)
     return plan
@@ -496,28 +495,34 @@ def combined_plan(trees: Sequence[HierarchyTree], h: CubeHierarchy,
     Solves one min cut over the merged graph and reads each query's plan off
     its own subgraph. Sharing a partial node across queries couples their cut
     decisions, which on rare inputs costs more than planning each query alone,
-    so the independently-optimized union is kept as a fallback and the smaller
-    retrieval set wins. A single tree's merged graph is its own graph, so
-    the fallback could not win and is skipped.
+    or, under failures, leaves no finite merged cut although every query has
+    one. So the independently-optimized union is kept as a fallback, and the
+    smaller retrieval set wins. InfeasibleError, with the merged graph's
+    blocking cells, is raised only when some query alone has no plan. A
+    single tree's merged graph is its own graph, so the fallback could not
+    win and is skipped.
     """
     failed = frozenset(failed_cells)
     g = _build_graph(list(trees))
     if failed:
         g = mark_failed(g, failed)
     value, reach, crossing, blocking = _solve(g)
-    _check_feasible(g, value, blocking)
-    plans, retrieval = _extract_plans(g, h, reach, crossing)
     if len(trees) == 1:
+        _check_feasible(g, value, blocking)
+        plans, retrieval = _extract_plans(g, h, reach, crossing)
         return CombinedResult(tuple(plans), frozenset(retrieval), value, from_combined=True)
 
-    individual_plans = []
-    individual_points: set[Cell] = set()
-    for tree in trees:
-        plan = plan_query(h, tree.region, failed)
-        individual_plans.append(plan)
-        individual_points.update(plan.points())
-
-    if len(individual_points) < len(retrieval):
-        return CombinedResult(tuple(individual_plans), frozenset(individual_points),
-                              len(individual_points), from_combined=False)
-    return CombinedResult(tuple(plans), frozenset(retrieval), value, from_combined=True)
+    try:
+        individual_plans = [plan_query(h, tree.region, failed) for tree in trees]
+    except InfeasibleError:
+        # Each query's graph maps into the merged one, infinite arcs onto
+        # infinite paths, so the merged graph has no finite cut either.
+        _check_feasible(g, value, blocking)
+        raise
+    individual_points = set().union(*(plan.points() for plan in individual_plans))
+    if value <= g.unit_count:
+        plans, retrieval = _extract_plans(g, h, reach, crossing)
+        if len(retrieval) <= len(individual_points):
+            return CombinedResult(tuple(plans), frozenset(retrieval), value, from_combined=True)
+    return CombinedResult(tuple(individual_plans), frozenset(individual_points),
+                          len(individual_points), from_combined=False)

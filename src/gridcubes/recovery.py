@@ -8,6 +8,10 @@ stored at its south-east peer junctions, from one extra stored slot at the
 three immediate neighbours in redundant mode, or by complementing the parent
 sum against alive siblings.
 
+Failures are one dead-location mask (`FailureSet.dead`); `lost_points`
+samples it at each level's junctions, where the level's summaries are
+stored, giving the per-level lost-point masks that the planner reads.
+
 Query recovery walks failed areas bottom-up: the requested failed portion is
 grown level by level until it is enclosed by readable cells; if the enclosure
 ends up larger than requested, the answer falls back to a uniformity estimate
@@ -27,8 +31,8 @@ from functools import partial
 import numpy as np
 
 from .errors import BoundsError, RecoveryError
-from .flow import _array_plan, plan_query
-from .grid import Coord, RectilinearRegion
+from .flow import _array_plan
+from .grid import Coord, GridDims, RectilinearRegion
 from .hierarchy import Cell, CubeHierarchy, HierarchyConfig, cell_of
 from .protocol import NodeState, node_slot
 
@@ -47,6 +51,21 @@ class FailureSet:
         for c in self.cells:
             out.update(c.bounds.coords())
         return frozenset(out)
+
+    def dead(self, dims: GridDims) -> np.ndarray:
+        """The failed nodes and every location of the failed cells as one
+        mask, indexed [y, x]; BoundsError for a node or cell off the grid."""
+        dead = np.zeros((dims.height, dims.width), dtype=bool)
+        for p in self.nodes:
+            if not dims.contains(p):
+                raise BoundsError(f"{p} outside grid {dims}")
+            dead[p[1], p[0]] = True
+        for c in self.cells:
+            b = c.bounds
+            if not (dims.contains((b.x0, b.y0)) and dims.contains((b.x1, b.y1))):
+                raise BoundsError(f"{c.label()} outside grid {dims}")
+            dead[b.y0:b.y1 + 1, b.x0:b.x1 + 1] = True
+        return dead
 
 
 class RecoveryKind(Enum):
@@ -302,31 +321,28 @@ def recover_junction(states: Mapping[Coord, NodeState], failed: Coord, level: in
     return Reconstruction(value, donors, reads, distance)
 
 
-def failed_datapoints(h: CubeHierarchy, failures: FailureSet) -> set[Cell]:
-    """Cells whose stored summary is lost: junction inside the failed area,
-    plus the readings of the failed nodes themselves. Level 0 is the dead
-    locations, and level k the dead locations of junction level k or more."""
-    config = h.config
-    out: set[Cell] = set()
+def lost_points(h: CubeHierarchy, failures: FailureSet) -> tuple[np.ndarray, ...] | None:
+    """Per level k, the summaries whose junction is dead, as a bool array laid
+    out as `level_array(k)`: the dead mask at the last row and column of each
+    block under the clipped block rule. None when nothing failed."""
     if not (failures.nodes or failures.cells):
-        return out
-    dead = np.zeros((config.dims.height, config.dims.width), dtype=bool)
-    for p in failures.nodes:
-        if not config.dims.contains(p):
-            raise BoundsError(f"{p} outside grid {config.dims}")
-        dead[p[1], p[0]] = True
-    for c in failures.cells:
-        b = c.bounds
-        if not (config.dims.contains((b.x0, b.y0)) and config.dims.contains((b.x1, b.y1))):
-            raise BoundsError(f"{c.label()} outside grid {config.dims}")
-        dead[b.y0:b.y1 + 1, b.x0:b.x1 + 1] = True
-    ys, xs = np.nonzero(dead)
-    junction = config.junction_levels()[ys, xs]
-    for level in range(h.height + 1):
-        at = junction >= level
-        side = config.side(level)
-        out.update(config.indexed_cells(level, (xs[at] // side).tolist(),
-                                        (ys[at] // side).tolist()))
+        return None
+    dead = failures.dead(h.dims)
+    lost = [dead]
+    for level in range(1, h.height + 1):
+        rows, cols = h.level_array(level).shape
+        ys = [last for _, last in h.config._spans(level, range(rows), h.dims.height)]
+        xs = [last for _, last in h.config._spans(level, range(cols), h.dims.width)]
+        lost.append(dead[np.ix_(ys, xs)])
+    return tuple(lost)
+
+
+def failed_datapoints(h: CubeHierarchy, failures: FailureSet) -> set[Cell]:
+    """The Cells whose stored summary is lost, as `lost_points` gives them."""
+    out: set[Cell] = set()
+    for level, lost in enumerate(lost_points(h, failures) or ()):
+        rows, cols = np.nonzero(lost)
+        out.update(h.config.indexed_cells(level, cols.tolist(), rows.tolist()))
     return out
 
 
@@ -369,18 +385,9 @@ def _component(area: frozenset[Coord], seed: Coord) -> frozenset[Coord]:
     return frozenset(comp)
 
 
-def _exact_over(h: CubeHierarchy, region: RectilinearRegion, failed: set[Cell]) -> tuple[object, int]:
-    """Exact sum over an all-alive region by its min-cut plan."""
-    # Every grey cell of an all-alive region has its junction inside the
-    # region, so its summary is readable: the cut reading exactly the maximal
-    # grey cells is finite and plan_query cannot raise InfeasibleError.
-    plan = plan_query(h, region, failed)
-    return plan.value, plan.size
-
-
 def recover_region(h: CubeHierarchy, failures: FailureSet,
                    query: RectilinearRegion,
-                   failed_dps: set[Cell] | None = None) -> RecoveryResult:
+                   lost: tuple[np.ndarray, ...] | None = None) -> RecoveryResult:
     """Answer a query across failures, exactly when possible.
 
     Each failed component intersecting the query is grown level by level
@@ -389,24 +396,21 @@ def recover_region(h: CubeHierarchy, failures: FailureSet,
     a failed location. Its sum is the enclosing cells' values minus the
     alive remainder, and minus the failed sums of earlier portions it takes
     in. An enclosure larger than the requested part yields a uniformity
-    estimate scaled by the area ratio. `failed_dps` is
-    failed_datapoints(h, failures) when the caller has it already.
+    estimate scaled by the area ratio. `lost` is lost_points(h, failures)
+    when the caller has it already.
     """
     area = failures.area()
-    if failed_dps is None:
-        failed_dps = failed_datapoints(h, failures)
+    if lost is None:
+        lost = lost_points(h, failures)
     q_failed = frozenset(p for p in area if query.contains(p))
     alive_mask = query.mask.copy()
     for x, y in q_failed:
         alive_mask[y - query.y0, x - query.x0] = False
     q_alive = RectilinearRegion.from_mask(query.x0, query.y0, alive_mask)
-    exact_value, reads = _exact_over(h, q_alive, failed_dps)
-
-    if not q_failed:
-        return RecoveryResult(RecoveryKind.EXACT, exact_value,
-                              frozenset(), frozenset(), reads)
-
-    total = exact_value
+    # Every grey cell of an all-alive region has its junction in it, so its
+    # summary is readable and the cut reading the maximal grey cells is finite.
+    plan = _array_plan(h, q_alive, lost)
+    total, reads = plan.value, plan.size
     recovered: set[Coord] = set()
     done: set[Cell] = set()  # maximal cells of the portions recovered so far
     any_estimate = False
@@ -460,8 +464,8 @@ def plan_with_failures(h: CubeHierarchy, failures: FailureSet,
     Returns a QueryPlan when a finite cut exists and a RecoveryResult (exact,
     estimated or unrecoverable) otherwise.
     """
-    failed_dps = failed_datapoints(h, failures)
-    plan = _array_plan(h, query, failed_dps)
+    lost = lost_points(h, failures)
+    plan = _array_plan(h, query, lost)
     if plan is None:
-        return recover_region(h, failures, query, failed_dps)
+        return recover_region(h, failures, query, lost)
     return plan

@@ -319,6 +319,50 @@ def test_mark_failed_outside_tree_is_noop():
     assert min_cut_plan(mark_failed(g, {far}), h).terms == baseline.terms
 
 
+@st.composite
+def batch_cases(draw):
+    """A cube over a grid of 2-12 per side, a batch of 2-3 regions of 1-2
+    rectangles each, and up to 4 lost cells of any level."""
+    width, height = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    fanouts = draw(st.sampled_from([(2, 2), (2, 2, 2), (3, 2), (1, 2, 2)]))
+    dims = GridDims(width, height)
+    vals = GridValues.random(dims, seed=draw(st.integers(0, 2**16)), low=-9, high=9)
+    h = build_hierarchy(vals, HierarchyConfig(dims, fanouts))
+    point = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    rectangles = st.lists(st.tuples(point, point), min_size=1, max_size=2)
+    regions = [region_from_rectangles(
+        [((min(x0, x1), min(y0, y1)), (max(x0, x1), max(y0, y1)))
+         for (x0, y0), (x1, y1) in corners], dims)
+        for corners in draw(st.lists(rectangles, min_size=2, max_size=3))]
+    failed = {h.cell_at(draw(st.integers(0, h.height)), p)
+              for p in draw(st.lists(point, max_size=4))}
+    return h, regions, failed
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(batch_cases())
+def test_combined_plan_is_infeasible_only_when_a_query_alone_is(case):
+    # A partial replica shared by two queries may be forced to the source
+    # side by one query's lost point and to the sink side by another's, so
+    # the merged network can have no finite cut although each query has one.
+    h, regions, failed = case
+    trees = [color_tree(h, region) for region in regions]
+    alone = []
+    for region in regions:
+        try:
+            alone.append(plan_query(h, region, failed))
+        except InfeasibleError:
+            alone.append(None)
+    if None in alone:
+        merged = _solve(mark_failed(_build_graph(trees), failed))
+        with pytest.raises(InfeasibleError) as err:
+            combined_plan(trees, h, failed)
+        assert err.value.blocking == merged[3]
+        return
+    result = combined_plan(trees, h, failed)
+    assert [plan.value for plan in result.plans] == [plan.value for plan in alone]
+
+
 def test_failed_plans_match_enumeration(rng):
     vals, h = small_cube(seed=17)
     for _ in range(25):

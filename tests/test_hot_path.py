@@ -4,10 +4,12 @@ planned, divided, answered from the prefix-sum cube, expanded by its
 corners, recovered across failures or rendered, and the prefix-sum cube is
 read in place, without building its per-cell tables. A single query, with
 or without failed cells, and a division are planned on level arrays,
-without building a colored tree or a flow network. The construction wave
-works on slot arrays and builds no node state until one is read."""
+without building a colored tree or a flow network, and failures reach the
+planner as per-level lost-point masks, without a Cell per lost summary.
+The construction wave works on slot arrays and builds no node state until
+one is read."""
 
-from gridcubes import protocol
+from gridcubes import protocol, recovery
 from gridcubes.cli import main
 from gridcubes.division import greedy_divide
 from gridcubes.flow import FlowGraph, QueryPlan, build_flow_graph, combined_plan, min_cut_plan, plan_query
@@ -99,6 +101,28 @@ def test_single_queries_and_divisions_build_no_tree_or_graph(monkeypatch, tmp_pa
     assert plan == min_cut_plan(build_flow_graph(color_tree(h, a)), h)
     assert plan.value == exact.value == naive_region_sum(vals, a)
     assert sum(h.value(c) for c in cover.cells) == plan.value
+
+
+def refuse_lost_cells(*args):
+    raise AssertionError("the lost data points were made as Cells")
+
+
+def test_failures_reach_the_planner_as_level_masks(monkeypatch):
+    dims = GridDims(16, 16)
+    vals = GridValues.random(dims, seed=7)
+    h = build_hierarchy(vals, HierarchyConfig(dims, (2, 2, 2)))
+    a = region_from_rectangles([((1, 2), (9, 7)), ((4, 6), (13, 14))], dims)
+    nodes = FailureSet.of([(3, 3), (5, 9), (12, 13)])
+    crossing = FailureSet.of(nodes.nodes, [h.cell_at(2, (8, 4))])
+    monkeypatch.setattr(recovery, "failed_datapoints", refuse_lost_cells)
+    exact = plan_with_failures(h, nodes, a)
+    recovered = plan_with_failures(h, crossing, a)
+    direct = recover_region(h, crossing, a)
+    assert main(["recover", "--scenario", AREA, "--region", "Q", "--fail", "cell:1:2,0",
+                 "--fail", "cell:1:2,2", "--fail", "cell:1:2,4"]) == 0
+    monkeypatch.undo()
+    assert isinstance(exact, QueryPlan) and exact.value == naive_region_sum(vals, a)
+    assert isinstance(recovered, RecoveryResult) and recovered == direct
 
 
 def test_corner_expansion_at_1024_never_builds_cell_sets(monkeypatch):
