@@ -55,7 +55,8 @@ to S iff s < t + point, and under a parent on T iff s + point < t:
 parent's, + for a cell on S under a parent on T and - the other way round.
 Only an infeasible instance builds the network, for its canonical blocking
 cells. The network stays as the reduction written out, the batch planner
-and the tests' oracle.
+and the tests' oracle. It reads its colors from `level_colors` too: of a
+`HierarchyTree` it takes the hierarchy and region, and builds no node.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ import numpy as np
 
 from .errors import InfeasibleError, ValidationError
 from .grid import RectilinearRegion
-from .hierarchy import Cell, Color, CubeHierarchy, HierarchyTree, color_tree, level_colors
+from .hierarchy import Cell, CubeHierarchy, HierarchyTree, color_tree, level_colors
 
 SOURCE = 0
 SINK = 1
@@ -143,23 +144,29 @@ class FlowGraph:
         return None
 
 
-_COLOR_SLOT = {Color.GREY: 0, Color.WHITE: 1, Color.PARTIAL: 2}
-
-
 def _record_colors(trees: Sequence[HierarchyTree]):
     """Per cell: the queries coloring it grey, white and partial, and its
-    parent cell (None on top). A cell is recorded when it is first popped,
-    after its parent, so every parent comes before its children."""
+    parent cell (None on top). Each tree's `level_colors` are read from the
+    top level down, so every parent comes before its children; a cell's
+    parent sits in the level above at its block index over that level's
+    fanout."""
     records: dict[Cell, tuple[tuple[set[int], set[int], set[int]], Cell | None]] = {}
     for qi, tree in enumerate(trees):
-        stack = [(node, None) for node in tree.root.children]
-        while stack:
-            node, parent = stack.pop()
-            record = records.get(node.cell)
-            if record is None:
-                record = records[node.cell] = ((set(), set(), set()), parent)
-            record[0][_COLOR_SLOT[node.color]].add(qi)
-            stack.extend((child, node.cell) for child in node.children)
+        above: dict[tuple[int, int], Cell] = {}  # empty on top
+        fanout = 1
+        for lc in reversed(level_colors(tree.hierarchy, tree.region)):
+            js, is_ = np.nonzero(lc.in_tree)
+            rows, cols = (js + lc.j0).tolist(), (is_ + lc.i0).tolist()
+            slots = (lc.white[js, is_] + 2 * lc.partial[js, is_]).tolist()
+            cells = tree.hierarchy.config.indexed_cells(lc.level, cols, rows)
+            for cell, row, col, slot in zip(cells, rows, cols, slots):
+                record = records.get(cell)
+                if record is None:
+                    parent = above.get((row // fanout, col // fanout))
+                    record = records[cell] = ((set(), set(), set()), parent)
+                record[0][slot].add(qi)
+            above = dict(zip(zip(rows, cols), cells))
+            fanout = lc.fanout
     return records
 
 

@@ -14,9 +14,12 @@ areas from it. `cell_prefix` is the one in-cell 2-D prefix routine.
 
 The summaries of one level form one array in block layout, built from the
 level below by a zero-pad, a reshape and a sum; Cell objects are made only
-when a caller asks for them. Coloring a cell against a region takes four
-lookups in the region's summed-area table; `level_colors` colors a whole
-level at once, by block sums of the region mask.
+when a caller asks for them. `level_colors` colors a whole level against a
+region at once, by block sums of the region mask; it is the one coloring
+the planners, division, recovery and rendering read. `color_tree` returns a
+`HierarchyTree` that builds its nodes only when they are first read, each
+cell colored by four lookups in the region's summed-area table: an
+independent oracle for the tests.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate
 from operator import mul
 from typing import Iterator
@@ -290,12 +294,22 @@ class HierarchyTree:
     covers the whole grid and is the parent of the top-level cells. For a
     whole-grid region it is grey with every top cell as a grey leaf; for an
     empty region it is white and childless; otherwise it is partial.
+    The nodes are built on the first read of `root`; planners read
+    `level_colors` instead, and the nodes serve as the tests' oracle.
     """
 
-    def __init__(self, root: TreeNode, hierarchy: CubeHierarchy, region: RectilinearRegion):
-        self.root = root
+    def __init__(self, hierarchy: CubeHierarchy, region: RectilinearRegion):
         self.hierarchy = hierarchy
         self.region = region
+
+    @cached_property
+    def root(self) -> TreeNode:
+        h, region = self.hierarchy, self.region
+        if not region:
+            return TreeNode(None, Color.WHITE, ())
+        kids = tuple(_color_node(h, c, region) for c in h.top_cells)
+        whole = len(region) == h.dims.width * h.dims.height
+        return TreeNode(None, Color.GREY if whole else Color.PARTIAL, kids)
 
     def nodes(self) -> Iterator[TreeNode]:
         stack = [self.root]
@@ -326,14 +340,10 @@ def _color_node(h: CubeHierarchy, cell: Cell, region: RectilinearRegion) -> Tree
 
 
 def color_tree(h: CubeHierarchy, region: RectilinearRegion) -> HierarchyTree:
+    """The region's colored tree; its nodes are built when first read."""
     if not region.within(h.dims):
         raise BoundsError("region extends outside the grid")
-    if not region:
-        return HierarchyTree(TreeNode(None, Color.WHITE, ()), h, region)
-    kids = tuple(_color_node(h, c, region) for c in h.top_cells)
-    whole = len(region) == h.dims.width * h.dims.height
-    root = TreeNode(None, Color.GREY if whole else Color.PARTIAL, kids)
-    return HierarchyTree(root, h, region)
+    return HierarchyTree(h, region)
 
 
 @dataclass(frozen=True)
@@ -343,8 +353,9 @@ class LevelColors:
     Entry [j, i] is the level-k cell in block row j0 + j and block column
     i0 + i. `core` is the block of cells meeting the region's bounding box,
     so every partial cell lies in it. Below the top, the arrays hold the
-    children of the next level's core; at the top, the core alone. Entries
-    past the grid edge are no cell, and every flag is False there.
+    children of the next level's core; at the top, every top cell, as the
+    root's children. Entries past the grid edge are no cell, and every flag
+    is False there.
     """
 
     level: int
@@ -405,8 +416,9 @@ def level_colors(h: CubeHierarchy, region: RectilinearRegion) -> tuple[LevelColo
             f = config.fanouts[level]
             pi0, pi1, pj0, pj1 = cores[level + 1]
             i0, i1, j0, j1 = pi0 * f, pi1 * f + f - 1, pj0 * f, pj1 * f + f - 1
-        else:
-            i0, i1, j0, j1 = ci0, ci1, cj0, cj1
+        else:  # every top cell is a child of the root
+            rows_top, cols_top = h.level_array(top).shape
+            i0, i1, j0, j1 = 0, cols_top - 1, 0, rows_top - 1
         core = (slice(cj0 - j0, cj1 - j0 + 1), slice(ci0 - i0, ci1 - i0 + 1))
         windows.append((i0, j0, core))
         shape = (j1 - j0 + 1, i1 - i0 + 1)

@@ -25,7 +25,10 @@ bottom-up pass over the colored tree: a grey top cell costs its
 bottom-right entry, a partial level-1 cell the corner expansion of its
 inside locations, and a partial level-k cell the plans of its partial
 children plus the cheapest split of its grey children into those answered
-by its own piece and those answered by their own bottom-right entry.
+by its own piece and those answered by their own bottom-right entry. The
+colored tree is read from `hierarchy.level_colors`: a cell is an index
+[j, i] into its level's arrays, and its children are the level below's
+window at (j - core row start, i - core column start) times the fanout.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ import numpy as np
 from .errors import BoundsError, ValidationError
 from .flow import QueryPlan
 from .grid import Coord, GridValues, Rect, RectilinearRegion, lattice_quads
-from .hierarchy import (Cell, Color, CubeHierarchy, HierarchyConfig, TreeNode,
-                        build_hierarchy, color_tree)
+from .hierarchy import (Cell, CubeHierarchy, HierarchyConfig, LevelColors, build_hierarchy,
+                        level_colors)
 
 
 @dataclass(frozen=True)
@@ -77,11 +80,8 @@ class PrefixSumCube:
                                       b.x0 // side:b.x1 // side + 1]
         return tables
 
-    def _child_grid(self, cell: Cell) -> tuple[int, int, int]:
-        return self.config.child_grid(cell)
-
     def point(self, cell: Cell, child: tuple[int, int]) -> PSDataPoint:
-        _, cols, rows = self._child_grid(cell)
+        _, cols, rows = self.config.child_grid(cell)
         ci, cj = child
         if not (0 <= ci < cols and 0 <= cj < rows):
             raise BoundsError(f"child index {child} outside {cell}")
@@ -97,7 +97,7 @@ class PrefixSumCube:
     def points(self) -> Iterator[PSDataPoint]:
         for level_cells in self.hierarchy.levels:
             for cell in level_cells:
-                _, cols, rows = self._child_grid(cell)
+                _, cols, rows = self.config.child_grid(cell)
                 for cj in range(rows):
                     for ci in range(cols):
                         yield self.point(cell, (ci, cj))
@@ -118,7 +118,7 @@ def rectangle_sum(ps: PrefixSumCube, cell: Cell, rect: Rect):
     """
     if not cell.bounds.contains_rect(rect):
         raise BoundsError(f"rectangle {rect} outside cell {cell}")
-    side, _, _ = ps._child_grid(cell)
+    side, _, _ = ps.config.child_grid(cell)
     b = cell.bounds
     if ((rect.x0 - b.x0) % side or (rect.y0 - b.y0) % side
             or (rect.x1 != b.x1 and (rect.x1 - b.x0 + 1) % side)
@@ -193,7 +193,7 @@ def _fragment_points(ps: PrefixSumCube, region: RectilinearRegion):
             children = ps.hierarchy.children(cell)
             counts = [region.count_in(c.bounds) for c in children]
             if all(n in (0, c.area) for n, c in zip(counts, children)):
-                _, cols, rows = ps._child_grid(cell)
+                _, cols, rows = ps.config.child_grid(cell)
                 blocks = np.array(counts, dtype=bool).reshape(rows, cols)
                 return _emit_scope(ps, cell, _mask_weights(0, 0, blocks))
             break
@@ -285,30 +285,30 @@ def _choose_blocks(grey_rows: list[int], cols: int) -> list[int]:
     return masks[::-1]
 
 
-def _node_terms(ps: PrefixSumCube, node: TreeNode) -> list[tuple[PSDataPoint, int]]:
-    """Cheapest signed entries answering the region's part inside one cell."""
-    cell = node.cell
-    side, cols, rows = ps._child_grid(cell)
-    if node.color is Color.GREY:
+def _node_terms(ps: PrefixSumCube, levels: list[tuple[LevelColors, list, list]], level: int,
+                j: int, i: int) -> list[tuple[PSDataPoint, int]]:
+    """Cheapest signed entries answering the region's part inside the cell
+    at [j, i] of level `level`, a grey or partial cell. `levels` holds each
+    level's colors with its grey and partial flags as nested lists."""
+    lc, grey, _ = levels[level]
+    cell = ps.config.indexed_cells(level, [i + lc.i0], [j + lc.j0])[0]
+    _, cols, rows = ps.config.child_grid(cell)
+    if grey[j][i]:
         return [(ps.point(cell, (cols - 1, rows - 1)), 1)]
-    if node.color is Color.WHITE:
-        return []
-    b = cell.bounds
-    grey_rows = [0] * rows
-    for child in node.children:
-        if child.color is Color.GREY:
-            c = child.cell.bounds
-            grey_rows[(c.y0 - b.y0) // side] |= 1 << ((c.x0 - b.x0) // side)
-    if cell.level == 1 or not any(grey_rows):
+    _, grey, partial = levels[level - 1]
+    cj, ci = (j - lc.core[0].start) * lc.fanout, (i - lc.core[1].start) * lc.fanout
+    grey_rows = [sum(1 << c for c in range(cols) if row[ci + c]) for row in grey[cj:cj + rows]]
+    if level == 1 or not any(grey_rows):
         chosen = grey_rows  # grid locations have no table; no grey, no choice
     else:
         chosen = _choose_blocks(grey_rows, cols)
-    units = np.array([[mask >> ci & 1 for ci in range(cols)] for mask in chosen], dtype=bool)
+    units = np.array([[mask >> c & 1 for c in range(cols)] for mask in chosen], dtype=bool)
     terms = _emit_scope(ps, cell, _mask_weights(0, 0, units))
-    for child in node.children:
-        c = child.cell.bounds
-        if not units[(c.y0 - b.y0) // side, (c.x0 - b.x0) // side]:
-            terms.extend(_node_terms(ps, child))
+    for dj, mask in enumerate(chosen):
+        for di in range(cols):
+            y, x = cj + dj, ci + di
+            if not mask >> di & 1 and (grey[y][x] or partial[y][x]):
+                terms.extend(_node_terms(ps, levels, level - 1, y, x))
     return terms
 
 
@@ -319,16 +319,21 @@ def ps_query_plan(ps: PrefixSumCube, region: RectilinearRegion) -> QueryPlan:
     inside grid locations of a level-1 cell, or a union of a level-k cell's
     child blocks wholly inside the region. A piece costs its nonzero corner
     weights in the cell's block grid, off the implicit zero row and column.
-    One bottom-up pass over the colored tree finds the cheapest plan: a grey
-    top cell reads its bottom-right entry; a partial level-1 cell reads the
-    corner expansion of its inside locations; a partial level-k cell reads
-    the plans of its partial children, the corner expansion of a chosen set
-    B of its grey children, and the bottom-right entry of every grey child
-    outside B. B is chosen one block at a time, in row-major order.
+    One pass over the colored tree of `level_colors`, depth-first and
+    row-major, finds the cheapest plan: a grey top cell reads its
+    bottom-right entry; a partial level-1 cell reads the corner expansion of
+    its inside locations; a partial level-k cell reads the plans of its
+    partial children, the corner expansion of a chosen set B of its grey
+    children, and the bottom-right entry of every grey child outside B. B
+    is chosen one block at a time, in row-major order.
     """
     if not region:
         raise ValidationError("cannot plan an empty region")
-    tree = color_tree(ps.hierarchy, region)
-    terms = [t for node in tree.root.children for t in _node_terms(ps, node)]
+    levels = [(lc, lc.grey.tolist(), lc.partial.tolist())
+              for lc in level_colors(ps.hierarchy, region)]
+    top, grey, partial = levels[-1]
+    terms = [t for j, row in enumerate(grey) for i in range(len(row))
+             if grey[j][i] or partial[j][i]
+             for t in _node_terms(ps, levels, top.level, j, i)]
     value = sum(s * ps.entry(p) for p, s in terms)
     return QueryPlan(tuple(terms), value)

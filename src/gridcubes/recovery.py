@@ -346,11 +346,16 @@ def failed_datapoints(h: CubeHierarchy, failures: FailureSet) -> set[Cell]:
     return out
 
 
-def _cell_readable(h: CubeHierarchy, cell: Cell, area: frozenset[Coord]) -> int | None:
+def _cell_readable(h: CubeHierarchy, cell: Cell, area: frozenset[Coord],
+                   memo: dict[Cell, int | None]) -> int | None:
     """Reads needed to obtain V(cell), a cell above level 0, under the
     failure area, or None. A cell whose junction died is solved from its
-    parent cell's block-prefix identities, as in recover_junction's last resort.
+    parent cell's block-prefix identities, as in recover_junction's last
+    resort. `memo` holds the results under this area so far; dead junctions
+    that escalate to one parent share its solve.
     """
+    if cell in memo:
+        return memo[cell]
     if cell.junction not in area:
         return 1
     if cell.level >= h.height:
@@ -364,13 +369,12 @@ def _cell_readable(h: CubeHierarchy, cell: Cell, area: frozenset[Coord]) -> int 
                              else stored[k][p[1] // side, p[0] // side].item())
 
     def escalate(parent):
-        reads = _cell_readable(h, parent, area)
+        reads = _cell_readable(h, parent, area, memo)
         return None if reads is None else Reconstruction(h.value(parent), (), reads)
 
     value, used, upper = _parent_block(h.config, cell, slots, escalate)
-    if value is None:
-        return None
-    return 2 * len(used) + upper.reads
+    memo[cell] = None if value is None else 2 * len(used) + upper.reads
+    return memo[cell]
 
 
 def _component(area: frozenset[Coord], seed: Coord) -> frozenset[Coord]:
@@ -413,6 +417,7 @@ def recover_region(h: CubeHierarchy, failures: FailureSet,
     total, reads = plan.value, plan.size
     recovered: set[Coord] = set()
     done: set[Cell] = set()  # maximal cells of the portions recovered so far
+    readable: dict[Cell, int | None] = {}
     any_estimate = False
     pending = set(q_failed)
     while pending:
@@ -421,7 +426,7 @@ def recover_region(h: CubeHierarchy, failures: FailureSet,
         for level in range(1, h.height + 1):
             if level > 1:
                 cells = {h.cell_at(level, c.junction) for c in cells}
-            cell_reads = [_cell_readable(h, c, area) for c in cells]
+            cell_reads = [_cell_readable(h, c, area, readable) for c in cells]
             if None not in cell_reads:
                 break
         else:

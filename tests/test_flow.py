@@ -61,56 +61,85 @@ def test_graph_structure():
     assert cells == grey | white | partial
     assert len(g.data_arcs) == len(cells) + len(partial)
 
-    # Batches follow the per-cell rule: with G, W, P the queries coloring a
-    # cell grey, white, partial and p its parent's U (ROOT on top), nodes U
-    # if P, G if G, W if W, M+ if P and G, M- if P and W; a + data arc from
-    # M+/G/U to p iff G or P and a - data arc from p to M-/W/U iff W or P.
     for regions in ([demo_region()], [demo_region(), third_region()],
                     [third_region(), demo_region(), second_region()]):
-        trees = [color_tree(h, r) for r in regions]
-        g = _build_graph(trees)
-        colors = {}
-        for q, t in enumerate(trees):
-            for node in t.nodes():
-                if not node.is_root:
-                    colors.setdefault(node.cell, {c: set() for c in Color})[node.color].add(q)
-        roles = {}
-        for kind in g.node_kind[3:]:
-            roles.setdefault(kind[0], set()).add(kind[1])
-        assert roles.keys() == colors.keys()
+        check_graph_roles(h, regions)
 
-        def node(cell, role):
-            return g.node_kind.index((cell, role))
 
-        infinite = [(ROOT, SINK)]
-        for cell, by in colors.items():
-            G, W, P = by[Color.GREY], by[Color.WHITE], by[Color.PARTIAL]
-            assert roles[cell] == {role for role, on in (
-                ("U", P), ("G", G), ("W", W), ("M+", P and G), ("M-", P and W)) if on}
-            for role, a, b in (("G", SOURCE, "G"), ("W", "W", SINK), ("M+", "G", "M+"),
-                               ("M+", "U", "M+"), ("M-", "M-", "W"), ("M-", "M-", "U")):
-                if role in roles[cell]:
-                    infinite.append(tuple(node(cell, x) if isinstance(x, str) else x
-                                          for x in (a, b)))
-            p = ROOT if cell.level == h.height else \
-                node(h.cell_at(cell.level + 1, cell.junction), "U")
-            arcs = sorted(((da.sign, da.u, da.v, da.base, da.cond)
-                           for da in g.data_arcs if da.cell == cell), reverse=True)
-            want = []
-            if G or P:
-                tail = "M+" if P and G else "G" if G else "U"
-                want.append((+1, node(cell, tail), p, G, P))
-            if W or P:
-                head = "M-" if P and W else "W" if W else "U"
-                want.append((-1, p, node(cell, head), W, P))
-            assert arcs == want
-        # Data arcs carry 1, every other arc the rule's infinity, reverses 0.
-        data = {da.arc for da in g.data_arcs}
-        assert g.unit_count == len(data)
-        for i in range(0, len(g.arc_to), 2):
-            assert (g.arc_cap[i], g.arc_cap[i + 1]) == (1 if i in data else g.unit_count + 1, 0)
-        assert sorted((g.arc_to[i + 1], g.arc_to[i]) for i in range(0, len(g.arc_to), 2)
-                      if i not in data) == sorted(infinite)
+def check_graph_roles(h, regions):
+    """Batches follow the per-cell rule: with G, W, P the queries coloring a
+    cell grey, white, partial in the colored trees' nodes and p its parent's
+    U (ROOT on top), nodes U if P, G if G, W if W, M+ if P and G, M- if P
+    and W; a + data arc from M+/G/U to p iff G or P and a - data arc from p
+    to M-/W/U iff W or P."""
+    trees = [color_tree(h, r) for r in regions]
+    g = _build_graph(trees)
+    colors = {}
+    for q, t in enumerate(trees):
+        for node in t.nodes():
+            if not node.is_root:
+                colors.setdefault(node.cell, {c: set() for c in Color})[node.color].add(q)
+    roles = {}
+    for kind in g.node_kind[3:]:
+        roles.setdefault(kind[0], set()).add(kind[1])
+    assert roles.keys() == colors.keys()
+
+    def node(cell, role):
+        return g.node_kind.index((cell, role))
+
+    infinite = [(ROOT, SINK)]
+    for cell, by in colors.items():
+        G, W, P = by[Color.GREY], by[Color.WHITE], by[Color.PARTIAL]
+        assert roles[cell] == {role for role, on in (
+            ("U", P), ("G", G), ("W", W), ("M+", P and G), ("M-", P and W)) if on}
+        for role, a, b in (("G", SOURCE, "G"), ("W", "W", SINK), ("M+", "G", "M+"),
+                           ("M+", "U", "M+"), ("M-", "M-", "W"), ("M-", "M-", "U")):
+            if role in roles[cell]:
+                infinite.append(tuple(node(cell, x) if isinstance(x, str) else x
+                                      for x in (a, b)))
+        p = ROOT if cell.level == h.height else \
+            node(h.cell_at(cell.level + 1, cell.junction), "U")
+        arcs = sorted(((da.sign, da.u, da.v, da.base, da.cond)
+                       for da in g.data_arcs if da.cell == cell), reverse=True)
+        want = []
+        if G or P:
+            tail = "M+" if P and G else "G" if G else "U"
+            want.append((+1, node(cell, tail), p, G, P))
+        if W or P:
+            head = "M-" if P and W else "W" if W else "U"
+            want.append((-1, p, node(cell, head), W, P))
+        assert arcs == want
+    # Data arcs carry 1, every other arc the rule's infinity, reverses 0.
+    data = {da.arc for da in g.data_arcs}
+    assert g.unit_count == len(data)
+    for i in range(0, len(g.arc_to), 2):
+        assert (g.arc_cap[i], g.arc_cap[i + 1]) == (1 if i in data else g.unit_count + 1, 0)
+    assert sorted((g.arc_to[i + 1], g.arc_to[i]) for i in range(0, len(g.arc_to), 2)
+                  if i not in data) == sorted(infinite)
+
+
+@st.composite
+def role_batches(draw):
+    """A cube over a grid of 1-14 per side, so clipped edges too, and a
+    batch of 1-3 regions of 1-3 rectangles each."""
+    width, height = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    fanouts = draw(st.sampled_from([(2, 2), (2, 2, 2), (3, 2), (2, 3), (1, 2, 2), (4, 2)]))
+    dims = GridDims(width, height)
+    h = build_hierarchy(GridValues.random(dims, seed=1), HierarchyConfig(dims, fanouts))
+    point = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    rectangles = st.lists(st.tuples(point, point), min_size=1, max_size=3)
+    regions = [region_from_rectangles(
+        [((min(x0, x1), min(y0, y1)), (max(x0, x1), max(y0, y1)))
+         for (x0, y0), (x1, y1) in corners], dims)
+        for corners in draw(st.lists(rectangles, min_size=1, max_size=3))]
+    return h, regions
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(role_batches())
+def test_graph_roles_follow_the_colored_trees(case):
+    # The graph reads the level arrays; the trees' nodes are the oracle.
+    check_graph_roles(*case)
 
 
 def test_worked_example_min_cut():

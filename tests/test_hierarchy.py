@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridcubes.errors import BoundsError, ConfigError
 from gridcubes.grid import GridDims, GridValues, Rect, RectilinearRegion, region_from_rectangles
 from gridcubes.hierarchy import (Cell, Color, HierarchyConfig, build_hierarchy, cell_of,
-                                 color_tree)
+                                 color_tree, level_colors)
 
 from conftest import naive_region_sum, random_region
 
@@ -176,6 +177,51 @@ def test_coloring_matches_bruteforce(rng):
                 assert node.color is expected
                 if node.color is not Color.PARTIAL:
                     assert node.children == ()
+
+
+@st.composite
+def coloring_cases(draw):
+    """A cube over a grid of 1-14 per side, so clipped edges too, and a
+    region that is empty, the whole grid or 1-3 rectangles."""
+    width, height = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    # With F1 = 1 the level-1 cells are single locations.
+    fanouts = draw(st.sampled_from([(1, 2, 2), (3, 2), (2, 3), (4, 2)]))
+    dims = GridDims(width, height)
+    h = build_hierarchy(ones(width, height), HierarchyConfig(dims, fanouts))
+    shape = draw(st.sampled_from(["empty", "whole", "rectangles", "rectangles"]))
+    if shape == "empty":
+        return h, RectilinearRegion.empty()
+    if shape == "whole":
+        return h, region_from_rectangles([((0, 0), (width - 1, height - 1))], dims)
+    point = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    corners = draw(st.lists(st.tuples(point, point), min_size=1, max_size=3))
+    return h, region_from_rectangles(
+        [((min(x0, x1), min(y0, y1)), (max(x0, x1), max(y0, y1)))
+         for (x0, y0), (x1, y1) in corners], dims)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(coloring_cases())
+def test_level_colors_match_the_colored_tree(case):
+    # The planners read level_colors; the node tree is the oracle.
+    h, region = case
+    tree = color_tree(h, region)
+    levels = level_colors(h, region)
+    assert [lc.level for lc in levels] == (list(range(h.height + 1)) if region else [])
+    nodes = [n for n in tree.nodes() if not n.is_root]
+    for lc in levels:
+
+        def cells(flags):
+            js, is_ = np.nonzero(flags)
+            return set(h.config.indexed_cells(lc.level, (is_ + lc.i0).tolist(),
+                                              (js + lc.j0).tolist()))
+
+        assert cells(lc.in_tree) == {n.cell for n in nodes if n.cell.level == lc.level}
+        for color, flags in ((Color.GREY, lc.grey), (Color.WHITE, lc.white),
+                             (Color.PARTIAL, lc.partial)):
+            assert cells(flags & lc.in_tree) == {
+                c for c in tree.cells_by_color(color) if c.level == lc.level}
+    assert len(nodes) == sum(np.count_nonzero(lc.in_tree) for lc in levels)
 
 
 def eager_levels(dims, fanouts):

@@ -6,8 +6,10 @@ read in place, without building its per-cell tables. A single query, with
 or without failed cells, and a division are planned on level arrays,
 without building a colored tree or a flow network, and failures reach the
 planner as per-level lost-point masks, without a Cell per lost summary.
-The construction wave works on slot arrays and builds no node state until
-one is read."""
+No subcommand and no planner builds a colored tree node: a batch and an
+infeasible query build their flow network from the level arrays, and the
+prefix-sum planner walks them too. The construction wave works on slot
+arrays and builds no node state until one is read."""
 
 from gridcubes import protocol, recovery
 from gridcubes.cli import main
@@ -101,6 +103,31 @@ def test_single_queries_and_divisions_build_no_tree_or_graph(monkeypatch, tmp_pa
     assert plan == min_cut_plan(build_flow_graph(color_tree(h, a)), h)
     assert plan.value == exact.value == naive_region_sum(vals, a)
     assert sum(h.value(c) for c in cover.cells) == plan.value
+
+
+def refuse_tree_node(self, *args, **kwargs):
+    raise AssertionError("a colored tree node was built")
+
+
+def test_batches_infeasible_queries_and_ps_plans_build_no_tree_node(monkeypatch, capsys):
+    dims = GridDims(16, 16)
+    vals = GridValues.random(dims, seed=8)
+    config = HierarchyConfig(dims, (2, 2, 2))
+    h = build_hierarchy(vals, config)
+    a = region_from_rectangles([((1, 2), (9, 7)), ((4, 6), (13, 14))], dims)
+    b = region_from_rectangles([((0, 0), (15, 3))], dims)
+    monkeypatch.setattr(TreeNode, "__init__", refuse_tree_node)
+    combined = combined_plan([color_tree(h, a), color_tree(h, b)], h)
+    ps_plan = ps_query_plan(build_ps_cube(vals, config), a)
+    for name in ("plan", "ps-plan"):
+        assert main([name, "--scenario", THREE_LEVEL, "--region", "G", "--region", "Q2"]) == 0
+    capsys.readouterr()
+    assert main(["plan", "--scenario", THREE_LEVEL, "--region", "G",
+                 "--fail", "2", "--fail", "4"]) == 0
+    assert capsys.readouterr().out.startswith("INFEASIBLE")
+    monkeypatch.undo()
+    assert [plan.value for plan in combined.plans] == [naive_region_sum(vals, r) for r in (a, b)]
+    assert ps_plan.value == naive_region_sum(vals, a)
 
 
 def refuse_lost_cells(*args):

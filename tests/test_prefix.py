@@ -63,7 +63,7 @@ def test_ps_recurrence_and_oracle():
             for cell in ps.hierarchy.cells_of(level):
                 t = ps.tables[cell]
                 b = cell.bounds
-                _, cols, rows = ps._child_grid(cell)
+                _, cols, rows = ps.config.child_grid(cell)
                 assert t.dtype == np.int64 and t.shape == (rows, cols)
                 for j in range(rows):
                     for i in range(cols):
@@ -79,7 +79,8 @@ def test_bottom_right_links_to_plain_summaries():
     h = build_hierarchy(vals, ps.config)
     for level in (1, 2):
         for cell in h.cells_of(level):
-            corner = ps.point(cell, (ps._child_grid(cell)[1] - 1, ps._child_grid(cell)[2] - 1))
+            _, cols, rows = ps.config.child_grid(cell)
+            corner = ps.point(cell, (cols - 1, rows - 1))
             assert ps.entry(corner) == h.value(cell)
 
 
@@ -113,7 +114,7 @@ def test_rectangle_sum_random(rng):
         vals, ps = random_cube(w, h, fanouts, seed)
         for level_cells in ps.hierarchy.levels:
             for cell in level_cells:
-                side, cols, rows = ps._child_grid(cell)
+                side, cols, rows = ps.config.child_grid(cell)
                 b = cell.bounds
                 for _ in range(20):
                     c0, r0 = rng.randrange(cols), rng.randrange(rows)

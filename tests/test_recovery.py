@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridcubes import recovery
 from gridcubes.errors import BoundsError, RecoveryError
 from gridcubes.flow import QueryPlan
 from gridcubes.grid import GridDims, GridValues, Rect, region_from_rectangles
@@ -241,6 +242,29 @@ def test_recover_region_exact_when_enclosure_matches():
     assert res.kind is RecoveryKind.EXACT
     assert res.value == naive_region_sum(vals, query)
     assert res.recovered_area == res.requested_area
+
+
+def test_recover_region_solves_each_block_once(monkeypatch):
+    # The dead level-2 cell kills the junctions of its four level-1 cells,
+    # whose block solves all escalate to it, and its own.
+    dims = GridDims(8, 8)
+    vals = GridValues.random(dims, seed=3)
+    h = build_hierarchy(vals, HierarchyConfig(dims, (2, 2, 2)))
+    failures = FailureSet.of(cells=[h.cell_at(2, (0, 0))])
+    query = region_from_rectangles([((0, 0), (5, 5))], dims)
+    solved = []
+    parent_block = recovery._parent_block
+
+    def counting(config, cell, slots, escalate):
+        solved.append(cell)
+        return parent_block(config, cell, slots, escalate)
+
+    monkeypatch.setattr(recovery, "_parent_block", counting)
+    res = recover_region(h, failures, query)
+    assert res.kind is RecoveryKind.EXACT and res.value == naive_region_sum(vals, query)
+    assert res.points_read == 11
+    assert sorted(c.label() for c in solved) == [
+        "L1(0,0)", "L1(0,2)", "L1(2,0)", "L1(2,2)", "L2(0,0)"]
 
 
 def test_partial_area_failure_estimates_smallest_portion():
