@@ -90,13 +90,8 @@ def cmd_plan(scenario: Scenario, args, report: dict) -> int:
     names = scenario.expand_query_names(args.region)
     out = {"queries": [], "infeasible": False}
     try:
-        if len(names) == 1:
-            plans = (plan_query(h, scenario.region(names[0]), failed),)
-            retrieval = plans[0].points()
-        else:
-            trees = [color_tree(h, scenario.region(name)) for name in names]
-            result = combined_plan(trees, h, failed_cells=failed)
-            plans, retrieval = result.plans, result.retrieval
+        trees = [color_tree(h, scenario.region(name)) for name in names]
+        result = combined_plan(trees, h, failed_cells=failed)
     except InfeasibleError as e:
         blocking = " ".join(sorted(c.label() for c in e.blocking))
         print(f"INFEASIBLE {blocking}")
@@ -105,15 +100,15 @@ def cmd_plan(scenario: Scenario, args, report: dict) -> int:
             e.blocking, key=lambda c: (c.level, c.bounds.y0, c.bounds.x0))]
         report["plan"] = out
         return EXIT_OK
-    for name, plan in zip(names, plans):
+    for name, plan in zip(names, result.plans):
         print(f"query {name}: {_plan_lines(plan)}")
         out["queries"].append({
             "region": name, "size": plan.size, "value": _value_json(plan.value),
             "terms": [dict(_cell_json(c), sign=s) for c, s in plan.terms]})
-    print(f"retrieval set: {len(retrieval)} points")
-    out["retrieval_size"] = len(retrieval)
+    print(f"retrieval set: {len(result.retrieval)} points")
+    out["retrieval_size"] = len(result.retrieval)
     out["retrieval"] = [_cell_json(c) for c in sorted(
-        retrieval, key=lambda c: (-c.level, c.bounds.y0, c.bounds.x0))]
+        result.retrieval, key=lambda c: (-c.level, c.bounds.y0, c.bounds.x0))]
     report["plan"] = out
     return EXIT_OK
 

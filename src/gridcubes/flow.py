@@ -16,10 +16,7 @@ different color groups gets one replica per group. When a grey or white
 replica coexists with a partial replica of the same cell, a small gadget node
 funnels both through a single unit edge so that no two edges of one data
 point can ever cross the same cut; the one min cut then yields all per-query
-plans and the shared retrieval set. Under failures a shared partial replica
-may be forced to the source side by one query's lost point and to the sink
-side by another's, so `combined_plan` falls back to per-query plans, and
-reports infeasibility only when some query alone has no finite cut.
+plans and the shared retrieval set.
 
 Infinity is a sentinel capacity one above the total unit capacity, so an
 infeasible instance (possible only after failures) is detected by the cut
@@ -38,25 +35,38 @@ the sink side, which reproduces the canonical minimum cut: the unique one
 with the smallest source side. ROOT is placed by the DP as well, so the cut
 value stays exact (equal to the maximum flow) when no finite cut exists.
 
-One query is planned by `_array_plan` on the level arrays of
+Every plan is made by `_array_plan` on the level arrays of
 `hierarchy.level_colors`, with no tree node and no network: the rules of
-`_solve` applied to one tree, one level at a time. Lost points come as one
-bool array per level (`recovery.lost_points`, or `plan_query`'s failed
-cells). A cell's data point costs 1, or a sentinel larger than any finite
-cut when it is lost, as `mark_failed` makes it. Bottom up, with S the source
-side and T the sink side, each tree cell adds to its parent's cost: a grey
-cell its point on T, a white cell its point on S, and a partial cell whose
-subtree costs s on S and t on T adds min(t, s + point) on T and
-min(t + point, s) on S. With no lost point, a level-1 cell's t is its count
-of region locations and its s the rest of its area. ROOT -> SINK puts ROOT
-on T in every finite cut. Top down, a partial cell under a parent on S goes
-to S iff s < t + point, and under a parent on T iff s + point < t:
-`_solve`'s tie rule. A plan term is a tree cell whose side differs from its
-parent's, + for a cell on S under a parent on T and - the other way round.
-Only an infeasible instance builds the network, for its canonical blocking
-cells. The network stays as the reduction written out, the batch planner
-and the tests' oracle. It reads its colors from `level_colors` too: of a
-`HierarchyTree` it takes the hierarchy and region, and builds no node.
+`_solve`, one level at a time. Lost points come as one bool array per level
+(`recovery.lost_points`, or the failed cells of `combined_plan`). A cell's
+data point costs w = 1, or a sentinel larger than any finite cut when it is
+lost, as `mark_failed` makes it. A cell's flags are ORed over the queries
+whose tree holds it: G, grey in some query; W, white in some; P, partial in
+some. With S the source side and T the sink side, a cell whose subtree costs
+s on S and t on T adds G*w + P*min(t, s + (not G)*w) to its parent's cost on
+T and W*w + P*min(s, t + (not W)*w) to its cost on S: a grey or white
+replica's arc is paid on its parent's side, and a partial replica pays its
+own arc only when no M+ or M- gadget carries it. With one query and no lost
+point, a level-1 cell's t is its count of region locations and its s the
+rest of its area. ROOT -> SINK puts ROOT on T in every finite cut. Top down,
+a partial cell under a parent on S goes to S iff s < t + (not W)*w, and
+under a parent on T iff s + (not G)*w < t: `_solve`'s tie rule. A query's
+side of a cell is S where the cell is grey in it, T where white, and the
+merged side where partial. Its plan terms are its tree cells whose side
+differs from their parent's, + for a cell on S under a parent on T and - the
+other way round; the retrieval set is the union of all terms, and the cut
+size the DP's value.
+
+The DP runs on a stack of rows: each query's own flags and, for a batch,
+their union. The per-query rows are `combined_plan`'s fallback. Sharing a
+partial replica couples the queries' decisions, which on rare inputs costs
+more than planning each query alone, or, under failures, leaves no finite
+merged cut although every query has one; the smaller retrieval set wins,
+ties going to the merged cut. The network stays as the reduction written
+out and the tests' oracle. Only a plan in which some query alone has no
+finite cut builds it, for the canonical blocking cells and the error
+message. It reads its colors from `level_colors` too: of a `HierarchyTree`
+it takes the hierarchy and region, and builds no node.
 """
 
 from __future__ import annotations
@@ -391,84 +401,15 @@ def _extract_plans(g: FlowGraph, h: CubeHierarchy, reach: set[int],
     return plans, retrieval
 
 
+def _no_cut(g: FlowGraph, value: int, blocking: frozenset[Cell]) -> InfeasibleError:
+    return InfeasibleError(
+        f"no finite cut: min cut {value} exceeds unit budget {g.unit_count}",
+        blocking=blocking)
+
+
 def _check_feasible(g: FlowGraph, value: int, blocking: frozenset[Cell]):
     if value > g.unit_count:
-        raise InfeasibleError(
-            f"no finite cut: min cut {value} exceeds unit budget {g.unit_count}",
-            blocking=blocking)
-
-
-def _array_plan(h: CubeHierarchy, region: RectilinearRegion,
-                lost: Sequence[np.ndarray] | None) -> QueryPlan | None:
-    """`min_cut_plan`'s plan for one region, by the per-level rules of the
-    module docstring; None when the lost points (one bool array per level,
-    laid out as `h.level_array(k)`, or None) leave no finite cut."""
-    levels = level_colors(h, region)
-    if not levels:
-        return QueryPlan((), 0)
-    # A finite cut reads each cell at most once, so this exceeds every one.
-    inf = 1 + sum(h.level_array(k).size for k in range(h.height + 1))
-    weights = []  # per level, each cell's data-point cost: 1, or inf when lost
-    subtree = []  # per level, each partial cell's subtree cost on S and on T
-    s = t = 0
-    for lc in levels:
-        w = 1
-        if lost is not None:
-            w = np.ones(lc.grey.shape, dtype=np.int64)
-            rows, cols = w.shape
-            window = lost[lc.level][lc.j0:lc.j0 + rows, lc.i0:lc.i0 + cols]
-            w[:window.shape[0], :window.shape[1]][window] = inf
-        weights.append(w)
-        subtree.append((s, t))
-        to_s, to_t = lc.white * w, lc.grey * w
-        if lc.level:  # level 0 holds no partial cell
-            to_s = to_s + np.where(lc.partial, np.minimum(t + w, s), 0)
-            to_t = to_t + np.where(lc.partial, np.minimum(t, s + w), 0)
-        if lc.level < h.height:
-            s, t = levels[lc.level + 1].gather(to_s), levels[lc.level + 1].gather(to_t)
-    # ROOT -> SINK puts ROOT on S at cost inf, so a finite cut has ROOT on T.
-    if to_t.sum() >= inf:
-        return None
-
-    plus, minus = [], []  # per level, from the top: cells on S under T, on T under S
-    above = np.False_  # ROOT's side
-    for k in range(h.height, -1, -1):
-        lc, w, (s, t) = levels[k], weights[k], subtree[k]
-        if k < h.height:
-            above = levels[k + 1].spread(side)
-        side = lc.grey | (lc.partial & np.where(above, s < t + w, s + w < t))
-        turn = lc.in_tree & (side != above)
-        plus.append((lc, turn & side))
-        minus.append((lc, turn & ~side))
-
-    terms, values = [], []
-    for sign, picks in ((1, plus), (-1, minus)):
-        for lc, pick in picks:
-            js, is_ = np.nonzero(pick)
-            cols, rows = (is_ + lc.i0).tolist(), (js + lc.j0).tolist()
-            terms += [(c, sign) for c in h.config.indexed_cells(lc.level, cols, rows)]
-            values += h.level_array(lc.level)[rows, cols].tolist()
-    # Terms come in _extract_plans' order, and are summed in it.
-    value = sum(s * v for (_, s), v in zip(terms, values))
-    return QueryPlan(tuple(terms), value)
-
-
-def plan_query(h: CubeHierarchy, region: RectilinearRegion,
-               failed_cells: Iterable[Cell] = ()) -> QueryPlan:
-    """`min_cut_plan(mark_failed(build_flow_graph(color_tree(h, region)),
-    failed_cells), h)`, planned on the level arrays. Only an infeasible
-    instance builds the graph, for the canonical InfeasibleError."""
-    failed_cells = tuple(failed_cells)
-    lost = None
-    if failed_cells:
-        lost = [np.zeros(h.level_array(k).shape, dtype=bool) for k in range(h.height + 1)]
-        for cell in failed_cells:
-            side = h.config.side(cell.level)
-            lost[cell.level][cell.bounds.y0 // side, cell.bounds.x0 // side] = True
-    plan = _array_plan(h, region, lost)
-    if plan is None:
-        return min_cut_plan(mark_failed(build_flow_graph(color_tree(h, region)), failed_cells), h)
-    return plan
+        raise _no_cut(g, value, blocking)
 
 
 def min_cut_plan(g: FlowGraph, h: CubeHierarchy) -> QueryPlan:
@@ -495,41 +436,146 @@ class CombinedResult:
     from_combined: bool  # False when independent per-query optima were smaller
 
 
+def _lost_masks(h: CubeHierarchy, failed_cells: Iterable[Cell]) -> list[np.ndarray] | None:
+    """The failed cells as one bool array per level, laid out as
+    `h.level_array(k)`; None when there are none."""
+    lost = None
+    for cell in failed_cells:
+        if lost is None:
+            lost = [np.zeros(h.level_array(k).shape, dtype=bool) for k in range(h.height + 1)]
+        side = h.config.side(cell.level)
+        lost[cell.level][cell.bounds.y0 // side, cell.bounds.x0 // side] = True
+    return lost
+
+
+def _array_plan(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
+                lost: Sequence[np.ndarray] | None
+                ) -> tuple[tuple[QueryPlan, ...], list[Cell], int, bool] | None:
+    """The fields of `combined_plan`'s result for `regions`, by the
+    per-level rules of the module docstring, with the retrieval set as a
+    list of the terms' cells; None when the lost points (one bool array per
+    level, laid out as `h.level_array(k)`, or None) leave some region alone
+    no finite cut."""
+    n = len(regions)
+    # One region's arrays come without the query axis, which numpy would
+    # broadcast against the per-level weights.
+    levels = level_colors(h, regions if n > 1 else regions[0])
+    if not levels:
+        return (QueryPlan((), 0),) * n, [], 0, True
+    # A finite cut reads each cell at most once, so this exceeds every one.
+    inf = 1 + sum(h.level_array(k).size for k in range(h.height + 1))
+
+    def with_union(flags, lc):
+        """Each query's flags and, for a batch, their union over the tree."""
+        if n == 1:
+            return flags
+        return np.concatenate((flags, (flags & lc.in_tree).any(axis=0, keepdims=True)))
+
+    subtree = []  # per level, each row's partial flags, pairwise costs up and
+                  # down, and partial cells' subtree costs on S and on T
+    s = t = 0
+    for lc in levels:
+        # Each point costs 1. As True, the products with a bool flag stay
+        # bool, a byte per cell: a batch's window can span the whole grid.
+        w = True
+        if lost is not None:
+            w = np.ones(lc.grey.shape[-2:], dtype=np.int64)
+            window = lost[lc.level][lc.j0:lc.j0 + w.shape[0], lc.i0:lc.i0 + w.shape[1]]
+            w[:window.shape[0], :window.shape[1]][window] = inf
+        grey, white = with_union(lc.grey, lc), with_union(lc.white, lc)
+        to_s, to_t = white * w, grey * w
+        if lc.level:  # level 0 holds no partial cell
+            partial, up, down = with_union(lc.partial, lc), w, w
+            if n > 1:  # one query's partial cells are neither grey nor white in it
+                up, down = ~grey * w, ~white * w
+            to_s = to_s + np.where(partial, np.minimum(s, t + down), 0)
+            to_t = to_t + np.where(partial, np.minimum(t, s + up), 0)
+            subtree.append((partial, up, down, s, t))
+        if lc.level < h.height:
+            s, t = levels[lc.level + 1].gather(to_s), levels[lc.level + 1].gather(to_t)
+    # ROOT -> SINK puts ROOT on S at cost inf, so a finite cut has ROOT on T.
+    cut = to_t.sum(axis=(-2, -1)).reshape(-1)  # per row
+    if (cut[:n] >= inf).any():
+        return None
+
+    on_s = [None] * (h.height + 1)  # per level, each row's partial cells on S
+    above = [None] * (h.height + 1)  # per level, each row's parents on S
+    above[h.height] = np.zeros(to_t.shape, dtype=bool)  # ROOT on T
+    for k in range(h.height, 0, -1):
+        partial, up, down, s, t = subtree[k - 1]
+        on_s[k] = partial & np.where(above[k], s < t + down, s + up < t)
+        above[k - 1] = levels[k].spread(on_s[k])
+
+    def turns(row):
+        """Per level from the top: each query's cells on S under T and on T
+        under S, with its partial cells on the sides of `row(on_s[k])`."""
+        out = []
+        for k in range(h.height, -1, -1):
+            lc = levels[k]
+            side = lc.grey | (lc.partial & row(on_s[k])) if k else lc.grey
+            turn = lc.in_tree & (side != row(above[k]))
+            out.append((lc, (turn & side).reshape((n,) + turn.shape[-2:]),
+                        (turn & ~side).reshape((n,) + turn.shape[-2:])))
+        return out
+
+    # The merged row is the union's, or the one query's. A finite cut
+    # crosses each cell's arcs at most once, and every crossing arc is some
+    # query's term, so the merged retrieval set has the cut's size.
+    merged = (lambda a: a) if n == 1 else (lambda a: a[-1:])
+    picks, cut_size, from_combined = turns(merged), int(cut[-1]), True
+    if n > 1:
+        alone = turns(lambda a: a[:n])
+        alone_size = sum(int((plus | minus).any(axis=0).sum()) for _, plus, minus in alone)
+        if cut_size > alone_size:  # also when the merged cut is infinite
+            picks, cut_size, from_combined = alone, alone_size, False
+
+    plans, retrieval = [], []
+    for q in range(n):
+        terms, values = [], []
+        for sign in (1, -1):
+            for lc, plus, minus in picks:
+                js, is_ = np.nonzero((plus if sign > 0 else minus)[q])
+                cols, rows = (is_ + lc.i0).tolist(), (js + lc.j0).tolist()
+                cells = h.config.indexed_cells(lc.level, cols, rows)
+                retrieval += cells
+                terms += [(c, sign) for c in cells]
+                values += h.level_array(lc.level)[rows, cols].tolist()
+        # Terms come in _extract_plans' order, and are summed in it.
+        plans.append(QueryPlan(tuple(terms), sum(s * v for (_, s), v in zip(terms, values))))
+    return tuple(plans), retrieval, cut_size, from_combined
+
+
+def plan_query(h: CubeHierarchy, region: RectilinearRegion,
+               failed_cells: Iterable[Cell] = ()) -> QueryPlan:
+    """`min_cut_plan(mark_failed(build_flow_graph(color_tree(h, region)),
+    failed_cells), h)`: `combined_plan`'s plan for the one region."""
+    return combined_plan([color_tree(h, region)], h, failed_cells).plans[0]
+
+
 def combined_plan(trees: Sequence[HierarchyTree], h: CubeHierarchy,
                   failed_cells: Iterable[Cell] = ()) -> CombinedResult:
-    """Jointly plan several queries, sharing data points across them.
+    """Jointly plan one or several queries, sharing data points across them.
 
-    Solves one min cut over the merged graph and reads each query's plan off
-    its own subgraph. Sharing a partial node across queries couples their cut
-    decisions, which on rare inputs costs more than planning each query alone,
-    or, under failures, leaves no finite merged cut although every query has
-    one. So the independently-optimized union is kept as a fallback, and the
-    smaller retrieval set wins. InfeasibleError, with the merged graph's
-    blocking cells, is raised only when some query alone has no plan. A
-    single tree's merged graph is its own graph, so the fallback could not
-    win and is skipped.
+    One cut DP over the level arrays, with every cell's flags ORed over the
+    queries, gives the merged network's canonical cut; each query's plan is
+    read off its own tree. The same pass plans each query alone, and the
+    smaller retrieval set wins, ties going to the merged cut (see the module
+    docstring). One tree's merged cut is its own, so it always wins.
+    InfeasibleError, with the merged network's blocking cells, is raised
+    only when some query alone has no plan.
     """
+    trees = list(trees)
+    if not trees:
+        raise ValidationError("combined_plan needs at least one colored tree")
+    if any(tree.hierarchy is not h for tree in trees):
+        raise ValidationError("every tree must be colored over the hierarchy it is planned on")
     failed = frozenset(failed_cells)
-    g = _build_graph(list(trees))
-    if failed:
-        g = mark_failed(g, failed)
-    value, reach, crossing, blocking = _solve(g)
-    if len(trees) == 1:
-        _check_feasible(g, value, blocking)
-        plans, retrieval = _extract_plans(g, h, reach, crossing)
-        return CombinedResult(tuple(plans), frozenset(retrieval), value, from_combined=True)
-
-    try:
-        individual_plans = [plan_query(h, tree.region, failed) for tree in trees]
-    except InfeasibleError:
+    planned = _array_plan(h, [tree.region for tree in trees], _lost_masks(h, failed))
+    if planned is None:
         # Each query's graph maps into the merged one, infinite arcs onto
         # infinite paths, so the merged graph has no finite cut either.
-        _check_feasible(g, value, blocking)
-        raise
-    individual_points = set().union(*(plan.points() for plan in individual_plans))
-    if value <= g.unit_count:
-        plans, retrieval = _extract_plans(g, h, reach, crossing)
-        if len(retrieval) <= len(individual_points):
-            return CombinedResult(tuple(plans), frozenset(retrieval), value, from_combined=True)
-    return CombinedResult(tuple(individual_plans), frozenset(individual_points),
-                          len(individual_points), from_combined=False)
+        g = mark_failed(_build_graph(trees), failed)
+        value, _, _, blocking = _solve(g)
+        raise _no_cut(g, value, blocking)
+    plans, retrieval, cut_size, from_combined = planned
+    return CombinedResult(plans, frozenset(retrieval), cut_size, from_combined)

@@ -15,8 +15,9 @@ areas from it. `cell_prefix` is the one in-cell 2-D prefix routine.
 The summaries of one level form one array in block layout, built from the
 level below by a zero-pad, a reshape and a sum; Cell objects are made only
 when a caller asks for them. `level_colors` colors a whole level against a
-region at once, by block sums of the region mask; it is the one coloring
-the planners, division, recovery and rendering read. `color_tree` returns a
+region, or a batch of regions on one shared window, at once, by block sums
+of the region masks; it is the one coloring the planners, division,
+recovery and rendering read. `color_tree` returns a
 `HierarchyTree` that builds its nodes only when they are first read, each
 cell colored by four lookups in the region's summed-area table: an
 independent oracle for the tests.
@@ -32,7 +33,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import accumulate
 from operator import mul
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -348,14 +349,15 @@ def color_tree(h: CubeHierarchy, region: RectilinearRegion) -> HierarchyTree:
 
 @dataclass(frozen=True)
 class LevelColors:
-    """One level of a region's pruned colored tree, as boolean arrays.
+    """One level of the pruned colored trees of one or several regions, as
+    boolean arrays.
 
-    Entry [j, i] is the level-k cell in block row j0 + j and block column
-    i0 + i. `core` is the block of cells meeting the region's bounding box,
-    so every partial cell lies in it. Below the top, the arrays hold the
-    children of the next level's core; at the top, every top cell, as the
-    root's children. Entries past the grid edge are no cell, and every flag
-    is False there.
+    Entry [..., j, i] is the level-k cell in block row j0 + j and block
+    column i0 + i; a batch of regions puts a query axis first. `core` is the
+    block of cells meeting the regions' bounding boxes, so every partial
+    cell lies in it. Below the top, the arrays hold the children of the next
+    level's core; at the top, every top cell, as the root's children.
+    Entries past the grid edge are no cell, and every flag is False there.
     """
 
     level: int
@@ -372,36 +374,50 @@ class LevelColors:
         """Each core entry of `a` repeated over its children, laid out as the
         level below's arrays."""
         f = self.fanout
-        return np.repeat(np.repeat(a[self.core], f, axis=0), f, axis=1)
+        return np.repeat(np.repeat(a[(..., *self.core)], f, axis=-2), f, axis=-1)
 
     def gather(self, a: np.ndarray) -> np.ndarray:
         """The sums of the level below's array `a` over each core cell's
         children, laid out as this level's arrays (0 off the core)."""
-        out = np.zeros(self.grey.shape, dtype=np.int64)
-        rows, cols = out[self.core].shape
-        out[self.core] = a.reshape(rows, self.fanout, cols, self.fanout).sum(axis=(1, 3))
+        lead = a.shape[:-2]
+        out = np.zeros(lead + self.grey.shape[-2:], dtype=np.int64)
+        rows, cols = out[(..., *self.core)].shape[-2:]
+        out[(..., *self.core)] = a.reshape(lead + (rows, self.fanout, cols, self.fanout)).sum(
+            axis=(-3, -1))
         return out
 
 
-def level_colors(h: CubeHierarchy, region: RectilinearRegion) -> tuple[LevelColors, ...]:
-    """The tree `color_tree` builds, as arrays per level, level 0 first;
-    none for the empty region.
+def level_colors(h: CubeHierarchy,
+                 regions: RectilinearRegion | Sequence[RectilinearRegion]
+                 ) -> tuple[LevelColors, ...]:
+    """The trees `color_tree` builds, as arrays per level, level 0 first;
+    none when every region is empty.
 
-    The region's count in each cell is a block sum of the mask at level 1,
-    and of the counts of the level below above it, taken with the same pad
-    plus reshape-sum as `build_hierarchy` over the cells meeting the
-    region's bounding box. A cell is grey when its count is its area, white
-    when it is 0, and partial otherwise.
+    Several regions are colored on one shared window, the union of their
+    bounding boxes, and their arrays get a leading query axis; an empty
+    region's tree has no cell, so its `in_tree` is all False. One region
+    gives its arrays without that axis.
+
+    The regions' counts in each cell are block sums of the masks at level
+    1, and of the counts of the level below above it, taken with the same
+    pad plus reshape-sum as `build_hierarchy` over the cells meeting the
+    window. A cell is grey when its count is its area, white when it is 0,
+    and partial otherwise.
     """
-    if not region.within(h.dims):
+    single = isinstance(regions, RectilinearRegion)
+    batch = (regions,) if single else tuple(regions)
+    if not all(region.within(h.dims) for region in batch):
         raise BoundsError("region extends outside the grid")
-    if not region:
+    filled = [region for region in batch if region]
+    if not filled:
         return ()
     config = h.config
     top = config.height
-    rows, cols = region.mask.shape
-    x0, y0 = region.x0, region.y0
-    cores = [(x0 // side, (x0 + cols - 1) // side, y0 // side, (y0 + rows - 1) // side)
+    lead = () if single else (len(batch),)  # the query axis
+    x0, y0 = min(r.x0 for r in filled), min(r.y0 for r in filled)
+    x1 = max(r.x0 + r.mask.shape[1] for r in filled) - 1
+    y1 = max(r.y0 + r.mask.shape[0] for r in filled) - 1
+    cores = [(x0 // side, x1 // side, y0 // side, y1 // side)
              for side in map(config.side, range(top + 1))]
 
     def extents(first, last, level, size):
@@ -421,17 +437,25 @@ def level_colors(h: CubeHierarchy, region: RectilinearRegion) -> tuple[LevelColo
             i0, i1, j0, j1 = 0, cols_top - 1, 0, rows_top - 1
         core = (slice(cj0 - j0, cj1 - j0 + 1), slice(ci0 - i0, ci1 - i0 + 1))
         windows.append((i0, j0, core))
-        shape = (j1 - j0 + 1, i1 - i0 + 1)
-        if level == 0:  # locations, each in the region or not
+        shape = lead + (j1 - j0 + 1, i1 - i0 + 1)
+        if level == 0:  # locations, each in a region or not
             counts = np.zeros(shape, dtype=bool)
-            counts[core] = region.mask
+            if single:  # its bounding box is the core
+                counts[core] = regions.mask
+            else:
+                for layer, region in zip(counts, batch):
+                    if region:
+                        rows, cols = region.mask.shape
+                        layer[region.y0 - j0:region.y0 - j0 + rows,
+                              region.x0 - i0:region.x0 - i0 + cols] = region.mask
             exists = np.outer(np.arange(j0, j1 + 1) < h.dims.height,
                               np.arange(i0, i1 + 1) < h.dims.width)
             colors.append((counts, exists & ~counts, np.zeros(shape, dtype=bool), exists))
             continue
         below, counts = counts, np.zeros(shape, dtype=np.int64)
         f = config.fanouts[level - 1]
-        counts[core] = below.reshape(cj1 - cj0 + 1, f, ci1 - ci0 + 1, f).sum(axis=(1, 3))
+        counts[(..., *core)] = below.reshape(
+            lead + (cj1 - cj0 + 1, f, ci1 - ci0 + 1, f)).sum(axis=(-3, -1))
         area = np.outer(extents(j0, j1, level, h.dims.height),
                         extents(i0, i1, level, h.dims.width))
         exists = area > 0
@@ -442,7 +466,12 @@ def level_colors(h: CubeHierarchy, region: RectilinearRegion) -> tuple[LevelColo
     parent = None
     for level in range(top, -1, -1):
         grey, white, partial, exists = colors[level]
-        in_tree = exists if parent is None else exists & parent.spread(parent.partial)
+        if parent is not None:
+            in_tree = exists & parent.spread(parent.partial)
+        elif single:  # the root's children
+            in_tree = exists
+        else:  # an empty region's tree has no cell
+            in_tree = exists & np.array([bool(region) for region in batch])[:, None, None]
         parent = LevelColors(level, config.fanouts[level - 1] if level else 1,
                              *windows[level], grey, white, partial, in_tree)
         out.append(parent)

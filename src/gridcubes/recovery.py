@@ -413,7 +413,7 @@ def recover_region(h: CubeHierarchy, failures: FailureSet,
     q_alive = RectilinearRegion.from_mask(query.x0, query.y0, alive_mask)
     # Every grey cell of an all-alive region has its junction in it, so its
     # summary is readable and the cut reading the maximal grey cells is finite.
-    plan = _array_plan(h, q_alive, lost)
+    plan = _array_plan(h, (q_alive,), lost)[0][0]
     total, reads = plan.value, plan.size
     recovered: set[Coord] = set()
     done: set[Cell] = set()  # maximal cells of the portions recovered so far
@@ -470,7 +470,7 @@ def plan_with_failures(h: CubeHierarchy, failures: FailureSet,
     estimated or unrecoverable) otherwise.
     """
     lost = lost_points(h, failures)
-    plan = _array_plan(h, query, lost)
-    if plan is None:
+    planned = _array_plan(h, (query,), lost)
+    if planned is None:
         return recover_region(h, failures, query, lost)
-    return plan
+    return planned[0][0]

@@ -2,10 +2,11 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridcubes.errors import InfeasibleError
+from gridcubes.errors import InfeasibleError, ValidationError
 from gridcubes.division import greedy_divide
-from gridcubes.flow import (ROOT, SINK, SOURCE, _build_graph, _solve, build_flow_graph,
-                            combined_plan, mark_failed, min_cut_plan, plan_query)
+from gridcubes.flow import (ROOT, SINK, SOURCE, CombinedResult, _build_graph, _extract_plans,
+                            _solve, build_flow_graph, combined_plan, mark_failed,
+                            min_cut_plan, plan_query)
 from gridcubes.grid import GridDims, GridValues, RectilinearRegion, region_from_rectangles
 from gridcubes.hierarchy import Color, HierarchyConfig, build_hierarchy, color_tree
 
@@ -390,6 +391,104 @@ def test_combined_plan_is_infeasible_only_when_a_query_alone_is(case):
         return
     result = combined_plan(trees, h, failed)
     assert [plan.value for plan in result.plans] == [plan.value for plan in alone]
+
+
+def test_combined_plan_rejects_an_empty_batch():
+    vals, h = demo_cube()
+    with pytest.raises(ValidationError):
+        combined_plan([], h)
+
+
+def test_combined_plan_rejects_trees_over_another_hierarchy():
+    vals, h = demo_cube()
+    _, other = demo_cube(seed=7)
+    trees = [color_tree(h, demo_region()), color_tree(other, second_region())]
+    with pytest.raises(ValidationError):
+        combined_plan(trees, h)
+    with pytest.raises(ValidationError):
+        combined_plan([color_tree(other, demo_region())], h)
+
+
+def network_combined_plan(trees, h, failed):
+    """`combined_plan` as the merged network gives it: one cut over the
+    merged graph, and each query's own graph as the fallback; the smaller
+    retrieval set wins, ties going to the merged cut. InfeasibleError, with
+    the merged graph's blocking cells, when some query alone has no cut."""
+    g = mark_failed(_build_graph(trees), failed)
+    value, reach, crossing, blocking = _solve(g)
+    infeasible = InfeasibleError(
+        f"no finite cut: min cut {value} exceeds unit budget {g.unit_count}", blocking=blocking)
+    if len(trees) == 1:
+        if value > g.unit_count:
+            raise infeasible
+        plans, retrieval = _extract_plans(g, h, reach, crossing)
+        return CombinedResult(tuple(plans), frozenset(retrieval), value, True)
+    try:
+        alone = [min_cut_plan(mark_failed(build_flow_graph(t), failed), h) for t in trees]
+    except InfeasibleError:
+        assert value > g.unit_count
+        raise infeasible
+    alone_points = frozenset().union(*(plan.points() for plan in alone))
+    if value <= g.unit_count:
+        plans, retrieval = _extract_plans(g, h, reach, crossing)
+        if len(retrieval) <= len(alone_points):
+            return CombinedResult(tuple(plans), frozenset(retrieval), value, True)
+    return CombinedResult(tuple(alone), alone_points, len(alone_points), False)
+
+
+@st.composite
+def oracle_batches(draw):
+    """A cube over a grid of 1-14 per side (so clipped edges too), fanouts
+    with F1 = 1 among them, readings that are integers or quarters, 1-4
+    regions that are empty, the whole grid or 1-3 rectangles, and up to 4
+    lost cells of any level."""
+    width, height = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    fanouts = draw(st.sampled_from([(2, 2), (2, 2, 2), (3, 2), (2, 3), (1, 2, 2),
+                                    (1, 3), (4, 2)]))
+    dims = GridDims(width, height)
+    vals = GridValues.random(dims, seed=draw(st.integers(0, 2**16)), low=-9, high=9)
+    if draw(st.booleans()):
+        vals = GridValues(dims, vals.array / 4)
+    h = build_hierarchy(vals, HierarchyConfig(dims, fanouts))
+    point = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    regions = []
+    shapes = st.sampled_from(["empty", "whole"] + ["rectangles"] * 4)
+    for shape in draw(st.lists(shapes, min_size=1, max_size=4)):
+        if shape == "empty":
+            regions.append(RectilinearRegion.empty())
+        elif shape == "whole":
+            regions.append(region_from_rectangles([((0, 0), (width - 1, height - 1))], dims))
+        else:
+            corners = draw(st.lists(st.tuples(point, point), min_size=1, max_size=3))
+            regions.append(region_from_rectangles(
+                [((min(x0, x1), min(y0, y1)), (max(x0, x1), max(y0, y1)))
+                 for (x0, y0), (x1, y1) in corners], dims))
+    failed = {h.cell_at(draw(st.integers(0, h.height)), p)
+              for p in draw(st.lists(point, max_size=4))}
+    return h, regions, failed
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(oracle_batches())
+def test_combined_plan_matches_the_merged_network(case):
+    h, regions, failed = case
+    trees = [color_tree(h, region) for region in regions]
+    try:
+        want = network_combined_plan(trees, h, failed)
+    except InfeasibleError as err:
+        with pytest.raises(InfeasibleError) as got:
+            combined_plan(trees, h, failed)
+        assert got.value.blocking == err.blocking
+        assert str(got.value) == str(err)
+        return
+    result = combined_plan(trees, h, failed)
+    assert result == want
+    assert type(result.cut_size) is int
+    assert [type(p.value) for p in result.plans] == [type(p.value) for p in want.plans]
+    if len(trees) == 1:
+        # The CLI plans one region as a batch of one.
+        assert result.plans == (plan_query(h, regions[0], failed),)
+        assert result.retrieval == result.plans[0].points()
 
 
 def test_failed_plans_match_enumeration(rng):

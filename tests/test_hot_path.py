@@ -6,15 +6,21 @@ read in place, without building its per-cell tables. A single query, with
 or without failed cells, and a division are planned on level arrays,
 without building a colored tree or a flow network, and failures reach the
 planner as per-level lost-point masks, without a Cell per lost summary.
-No subcommand and no planner builds a colored tree node: a batch and an
-infeasible query build their flow network from the level arrays, and the
-prefix-sum planner walks them too. The construction wave works on slot
-arrays and builds no node state until one is read."""
+A batch is planned on the same arrays, without a flow network, with or
+without lost cells and also when its merged cut is infeasible. No
+subcommand and no planner builds a colored tree node: only a plan in which
+some query alone has no finite cut builds its flow network, from the level
+arrays, for the blocking cells, and the prefix-sum planner walks the arrays
+too. The construction wave works on slot arrays and builds no node state
+until one is read."""
+
+import pytest
 
 from gridcubes import protocol, recovery
 from gridcubes.cli import main
 from gridcubes.division import greedy_divide
-from gridcubes.flow import FlowGraph, QueryPlan, build_flow_graph, combined_plan, min_cut_plan, plan_query
+from gridcubes.flow import (FlowGraph, QueryPlan, _build_graph, _solve, build_flow_graph,
+                            combined_plan, mark_failed, min_cut_plan, plan_query)
 from gridcubes.grid import GridDims, GridValues, RectilinearRegion, region_from_rectangles
 from gridcubes.hierarchy import HierarchyConfig, TreeNode, build_hierarchy, color_tree
 from gridcubes.prefix import PrefixSumCube, build_ps_cube, ps_query_plan, rectilinear_sum
@@ -128,6 +134,33 @@ def test_batches_infeasible_queries_and_ps_plans_build_no_tree_node(monkeypatch,
     monkeypatch.undo()
     assert [plan.value for plan in combined.plans] == [naive_region_sum(vals, r) for r in (a, b)]
     assert ps_plan.value == naive_region_sum(vals, a)
+
+
+@pytest.mark.parametrize("case", ["cli", "direct", "lost cells", "merged cut infeasible"])
+def test_batches_build_no_flow_network(monkeypatch, capsys, case):
+    dims = GridDims(8, 8)
+    vals = GridValues.random(dims, seed=3)
+    h = build_hierarchy(vals, HierarchyConfig(dims, (2, 2, 2)))
+    a = region_from_rectangles([((0, 2), (6, 4))], dims)
+    b = region_from_rectangles([((1, 0), (7, 4))], dims)
+    failed = {
+        "cli": set(), "direct": set(),
+        "lost cells": {h.cell_at(2, (4, 4)), h.cell_at(1, (0, 2)), h.cell_at(0, (5, 3))},
+        # With this point lost the merged network has no finite cut, while
+        # each query alone has one (checked below).
+        "merged cut infeasible": {h.cell_at(1, (2, 0))},
+    }[case]
+    monkeypatch.setattr(FlowGraph, "__init__", refuse_tree_or_graph)
+    if case == "cli":
+        assert main(["plan", "--scenario", THREE_LEVEL, "--region", "G", "--region", "Q2"]) == 0
+        assert "INFEASIBLE" not in capsys.readouterr().out
+        return
+    result = combined_plan([color_tree(h, a), color_tree(h, b)], h, failed)
+    monkeypatch.undo()
+    assert [plan.value for plan in result.plans] == [naive_region_sum(vals, r) for r in (a, b)]
+    assert not failed & result.retrieval
+    merged = mark_failed(_build_graph([color_tree(h, a), color_tree(h, b)]), failed)
+    assert (_solve(merged)[0] > merged.unit_count) == (case == "merged cut infeasible")
 
 
 def refuse_lost_cells(*args):
