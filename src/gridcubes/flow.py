@@ -62,11 +62,23 @@ their union. The per-query rows are `combined_plan`'s fallback. Sharing a
 partial replica couples the queries' decisions, which on rare inputs costs
 more than planning each query alone, or, under failures, leaves no finite
 merged cut although every query has one; the smaller retrieval set wins,
-ties going to the merged cut. The network stays as the reduction written
-out and the tests' oracle. Only a plan in which some query alone has no
-finite cut builds it, for the canonical blocking cells and the error
-message. It reads its colors from `level_colors` too: of a `HierarchyTree`
-it takes the hierarchy and region, and builds no node.
+ties going to the merged cut.
+
+When some query alone has no finite cut, the merged network has none, and
+its InfeasibleError comes from the union flags too. Its unit budget U counts
+[G or P] + [W or P] over the union tree's cells, and its min cut is
+min(cost with ROOT on T, U + 1 + cost with ROOT on S), a lost point costing
+U + 1. Its blocking cells are the lost cells whose + arc runs from a
+source-reached tail (grey, or a source-reached partial replica) to a
+sink-reaching parent, or whose - arc runs from a source-reached parent to a
+sink-reaching head (white, or a sink-reaching partial replica). A partial
+replica is source-reached when it holds a lost child that is grey or
+source-reached from below, or when it is lost under a source-reached
+parent; sink-reaching mirrors this with white for grey, and ROOT reaches
+the sink. One pass up over `gather` and one down over `spread` give both.
+The network stays as the reduction written out and the tests' oracle, read
+from the colored trees' nodes: only tests, demos and the benchmark's check
+build it.
 """
 
 from __future__ import annotations
@@ -76,9 +88,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError
+from .errors import BoundsError, InfeasibleError, ValidationError
 from .grid import RectilinearRegion
-from .hierarchy import Cell, CubeHierarchy, HierarchyTree, color_tree, level_colors
+from .hierarchy import Cell, Color, CubeHierarchy, HierarchyTree, color_tree, level_colors
 
 SOURCE = 0
 SINK = 1
@@ -154,29 +166,23 @@ class FlowGraph:
         return None
 
 
+_COLOR_SLOT = {Color.GREY: 0, Color.WHITE: 1, Color.PARTIAL: 2}
+
+
 def _record_colors(trees: Sequence[HierarchyTree]):
     """Per cell: the queries coloring it grey, white and partial, and its
-    parent cell (None on top). Each tree's `level_colors` are read from the
-    top level down, so every parent comes before its children; a cell's
-    parent sits in the level above at its block index over that level's
-    fanout."""
+    parent cell (None on top). A cell is recorded when it is first popped,
+    after its parent, so every parent comes before its children."""
     records: dict[Cell, tuple[tuple[set[int], set[int], set[int]], Cell | None]] = {}
     for qi, tree in enumerate(trees):
-        above: dict[tuple[int, int], Cell] = {}  # empty on top
-        fanout = 1
-        for lc in reversed(level_colors(tree.hierarchy, tree.region)):
-            js, is_ = np.nonzero(lc.in_tree)
-            rows, cols = (js + lc.j0).tolist(), (is_ + lc.i0).tolist()
-            slots = (lc.white[js, is_] + 2 * lc.partial[js, is_]).tolist()
-            cells = tree.hierarchy.config.indexed_cells(lc.level, cols, rows)
-            for cell, row, col, slot in zip(cells, rows, cols, slots):
-                record = records.get(cell)
-                if record is None:
-                    parent = above.get((row // fanout, col // fanout))
-                    record = records[cell] = ((set(), set(), set()), parent)
-                record[0][slot].add(qi)
-            above = dict(zip(zip(rows, cols), cells))
-            fanout = lc.fanout
+        stack = [(node, None) for node in tree.root.children]
+        while stack:
+            node, parent = stack.pop()
+            record = records.get(node.cell)
+            if record is None:
+                record = records[node.cell] = ((set(), set(), set()), parent)
+            record[0][_COLOR_SLOT[node.color]].add(qi)
+            stack.extend((child, node.cell) for child in node.children)
     return records
 
 
@@ -401,15 +407,10 @@ def _extract_plans(g: FlowGraph, h: CubeHierarchy, reach: set[int],
     return plans, retrieval
 
 
-def _no_cut(g: FlowGraph, value: int, blocking: frozenset[Cell]) -> InfeasibleError:
-    return InfeasibleError(
-        f"no finite cut: min cut {value} exceeds unit budget {g.unit_count}",
-        blocking=blocking)
-
-
-def _check_feasible(g: FlowGraph, value: int, blocking: frozenset[Cell]):
-    if value > g.unit_count:
-        raise _no_cut(g, value, blocking)
+def _check_feasible(value: int, budget: int, blocking: Iterable[Cell]):
+    if value > budget:
+        raise InfeasibleError(f"no finite cut: min cut {value} exceeds unit budget {budget}",
+                              blocking=blocking)
 
 
 def min_cut_plan(g: FlowGraph, h: CubeHierarchy) -> QueryPlan:
@@ -423,7 +424,7 @@ def min_cut_plan(g: FlowGraph, h: CubeHierarchy) -> QueryPlan:
     point on a source-to-sink path of infinite arcs.
     """
     value, reach, crossing, blocking = _solve(g)
-    _check_feasible(g, value, blocking)
+    _check_feasible(value, g.unit_count, blocking)
     plans, _ = _extract_plans(g, h, reach, crossing)
     return plans[0]
 
@@ -438,24 +439,29 @@ class CombinedResult:
 
 def _lost_masks(h: CubeHierarchy, failed_cells: Iterable[Cell]) -> list[np.ndarray] | None:
     """The failed cells as one bool array per level, laid out as
-    `h.level_array(k)`; None when there are none."""
+    `h.level_array(k)`, or None; BoundsError for one that is not `h`'s."""
     lost = None
     for cell in failed_cells:
+        b = cell.bounds
+        side = h.config.side(cell.level) if 0 <= cell.level <= h.height else 0
+        if not side or any(not 0 <= lo < n or lo % side or hi != min(lo + side, n) - 1 for lo, hi, n
+                           in ((b.x0, b.x1, h.dims.width), (b.y0, b.y1, h.dims.height))):
+            raise BoundsError(f"{cell!r} is not a cell of the cube")
         if lost is None:
             lost = [np.zeros(h.level_array(k).shape, dtype=bool) for k in range(h.height + 1)]
-        side = h.config.side(cell.level)
-        lost[cell.level][cell.bounds.y0 // side, cell.bounds.x0 // side] = True
+        lost[cell.level][b.y0 // side, b.x0 // side] = True
     return lost
 
 
 def _array_plan(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
-                lost: Sequence[np.ndarray] | None
+                lost: Sequence[np.ndarray] | None, explain: bool = False
                 ) -> tuple[tuple[QueryPlan, ...], list[Cell], int, bool] | None:
     """The fields of `combined_plan`'s result for `regions`, by the
     per-level rules of the module docstring, with the retrieval set as a
-    list of the terms' cells; None when the lost points (one bool array per
+    list of the terms' cells. When the lost points (one bool array per
     level, laid out as `h.level_array(k)`, or None) leave some region alone
-    no finite cut."""
+    no finite cut: None, or with `explain` the merged network's
+    InfeasibleError, raised."""
     n = len(regions)
     # One region's arrays come without the query axis, which numpy would
     # broadcast against the per-level weights.
@@ -465,14 +471,17 @@ def _array_plan(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
     # A finite cut reads each cell at most once, so this exceeds every one.
     inf = 1 + sum(h.level_array(k).size for k in range(h.height + 1))
 
+    def union(flags, lc):
+        """The flags ORed over the queries whose tree holds the cell."""
+        return (flags & lc.in_tree).reshape((-1,) + flags.shape[-2:]).any(axis=0)
+
     def with_union(flags, lc):
-        """Each query's flags and, for a batch, their union over the tree."""
-        if n == 1:
-            return flags
-        return np.concatenate((flags, (flags & lc.in_tree).any(axis=0, keepdims=True)))
+        """Each query's flags and, for a batch, their union."""
+        return flags if n == 1 else np.concatenate((flags, union(flags, lc)[None]))
 
     subtree = []  # per level, each row's partial flags, pairwise costs up and
                   # down, and partial cells' subtree costs on S and on T
+    weights = []  # per level, each cell's point cost
     s = t = 0
     for lc in levels:
         # Each point costs 1. As True, the products with a bool flag stay
@@ -482,6 +491,7 @@ def _array_plan(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
             w = np.ones(lc.grey.shape[-2:], dtype=np.int64)
             window = lost[lc.level][lc.j0:lc.j0 + w.shape[0], lc.i0:lc.i0 + w.shape[1]]
             w[:window.shape[0], :window.shape[1]][window] = inf
+        weights.append(w)
         grey, white = with_union(lc.grey, lc), with_union(lc.white, lc)
         to_s, to_t = white * w, grey * w
         if lc.level:  # level 0 holds no partial cell
@@ -496,6 +506,27 @@ def _array_plan(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
     # ROOT -> SINK puts ROOT on S at cost inf, so a finite cut has ROOT on T.
     cut = to_t.sum(axis=(-2, -1)).reshape(-1)  # per row
     if (cut[:n] >= inf).any():
+        if explain:  # some query alone has no finite cut, so the merged one has none
+            flags = [(union(lc.grey, lc), union(lc.white, lc), union(lc.partial, lc), w >= inf)
+                     for lc, w in zip(levels, weights)]
+            budget = sum(int((g | p).sum() + (wh | p).sum()) for g, wh, p, _ in flags)
+            ups = []  # per level: partial replicas source-reached and sink-reaching from below
+            for lc, (g, wh, p, lo) in zip(levels, flags):
+                ups.append(tuple(p & (lc.gather(a) > 0) for a in arcs) if lc.level else (p, p))
+                # The lost + arcs from a source-reached tail, - arcs to a sink-reaching head.
+                arcs = lo & (g | ups[-1][0]), lo & (wh | ups[-1][1])
+            src_above, snk_above, blocking = arcs[0].any(), True, []  # ROOT -> SINK
+            for lc, (g, wh, p, lo), (src, snk) in reversed(list(zip(levels, flags, ups))):
+                src, snk = src | lo & p & src_above, snk | lo & p & snk_above
+                js, is_ = np.nonzero(lo & ((g | p & src) & snk_above | src_above & (wh | p & snk)))
+                blocking += h.config.indexed_cells(lc.level, (is_ + lc.i0).tolist(),
+                                                   (js + lc.j0).tolist())
+                if lc.level:
+                    src_above, snk_above = lc.spread(src), lc.spread(snk)
+            # A side costs lost arcs * inf + finite arcs; the network's lost arc costs U + 1.
+            root_s = inf + int(to_s.sum(axis=(-2, -1)).reshape(-1)[-1])
+            lost_arcs, finite = divmod(min(int(cut[-1]), root_s), inf)
+            _check_feasible(lost_arcs * (budget + 1) + finite, budget, blocking)
         return None
 
     on_s = [None] * (h.height + 1)  # per level, each row's partial cells on S
@@ -561,21 +592,15 @@ def combined_plan(trees: Sequence[HierarchyTree], h: CubeHierarchy,
     read off its own tree. The same pass plans each query alone, and the
     smaller retrieval set wins, ties going to the merged cut (see the module
     docstring). One tree's merged cut is its own, so it always wins.
-    InfeasibleError, with the merged network's blocking cells, is raised
-    only when some query alone has no plan.
+    InfeasibleError, with the merged network's message and blocking cells
+    read off the same arrays, only when some query alone has no plan;
+    BoundsError for a failed cell that is not one of `h`'s cells.
     """
     trees = list(trees)
     if not trees:
         raise ValidationError("combined_plan needs at least one colored tree")
     if any(tree.hierarchy is not h for tree in trees):
         raise ValidationError("every tree must be colored over the hierarchy it is planned on")
-    failed = frozenset(failed_cells)
-    planned = _array_plan(h, [tree.region for tree in trees], _lost_masks(h, failed))
-    if planned is None:
-        # Each query's graph maps into the merged one, infinite arcs onto
-        # infinite paths, so the merged graph has no finite cut either.
-        g = mark_failed(_build_graph(trees), failed)
-        value, _, _, blocking = _solve(g)
-        raise _no_cut(g, value, blocking)
-    plans, retrieval, cut_size, from_combined = planned
+    plans, retrieval, cut_size, from_combined = _array_plan(
+        h, [tree.region for tree in trees], _lost_masks(h, failed_cells), explain=True)
     return CombinedResult(plans, frozenset(retrieval), cut_size, from_combined)

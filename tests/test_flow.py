@@ -2,13 +2,13 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridcubes.errors import InfeasibleError, ValidationError
+from gridcubes.errors import BoundsError, InfeasibleError, ValidationError
 from gridcubes.division import greedy_divide
 from gridcubes.flow import (ROOT, SINK, SOURCE, CombinedResult, _build_graph, _extract_plans,
                             _solve, build_flow_graph, combined_plan, mark_failed,
                             min_cut_plan, plan_query)
-from gridcubes.grid import GridDims, GridValues, RectilinearRegion, region_from_rectangles
-from gridcubes.hierarchy import Color, HierarchyConfig, build_hierarchy, color_tree
+from gridcubes.grid import GridDims, GridValues, Rect, RectilinearRegion, region_from_rectangles
+from gridcubes.hierarchy import Cell, Color, HierarchyConfig, build_hierarchy, color_tree
 
 from conftest import (enumerate_cut_assignments, naive_region_sum,
                       plan_terms_for_query, random_region)
@@ -139,7 +139,8 @@ def role_batches(draw):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(role_batches())
 def test_graph_roles_follow_the_colored_trees(case):
-    # The graph reads the level arrays; the trees' nodes are the oracle.
+    # The graph and the roles both read the trees' nodes; `level_colors` is
+    # checked against them in test_hierarchy.
     check_graph_roles(*case)
 
 
@@ -393,6 +394,21 @@ def test_combined_plan_is_infeasible_only_when_a_query_alone_is(case):
     assert [plan.value for plan in result.plans] == [plan.value for plan in alone]
 
 
+@pytest.mark.parametrize("cell", [
+    Cell(2, Rect(-4, 0, -1, 3)),  # off the grid, its corner's block is L2(4,0)
+    Cell(1, Rect(6, 4, 8, 5)),    # not L1(6,4)'s bounds
+    Cell(1, Rect(8, 0, 9, 1)),    # off the grid
+    Cell(4, Rect(0, 0, 7, 7)),    # above the top level
+])
+def test_failed_cells_that_are_not_cells_of_the_cube_are_refused(cell):
+    vals, h = demo_cube()
+    region = region_from_rectangles([((1, 1), (7, 5))], h.dims)
+    with pytest.raises(BoundsError):
+        plan_query(h, region, {cell})
+    with pytest.raises(BoundsError):
+        combined_plan([color_tree(h, region), color_tree(h, third_region())], h, {cell})
+
+
 def test_combined_plan_rejects_an_empty_batch():
     vals, h = demo_cube()
     with pytest.raises(ValidationError):
@@ -489,6 +505,23 @@ def test_combined_plan_matches_the_merged_network(case):
         # The CLI plans one region as a batch of one.
         assert result.plans == (plan_query(h, regions[0], failed),)
         assert result.retrieval == result.plans[0].points()
+
+
+def test_combined_plan_explains_a_large_infeasible_batch_as_the_network_does():
+    # Past the hypothesis grids: 1024^2, where the passes run on wide windows.
+    dims = GridDims(1024, 1024)
+    h = build_hierarchy(GridValues.random(dims, seed=1), HierarchyConfig(dims, (4,) * 5))
+    regions = [region_from_rectangles([((100, 100), (600, 600)), ((400, 500), (900, 880))], dims),
+               region_from_rectangles([((10, 10), (300, 200))], dims)]
+    failed = {h.cell_at(5, (0, 0)), h.cell_at(4, (0, 0)), h.cell_at(3, (128, 128))}
+    trees = [color_tree(h, region) for region in regions]
+    with pytest.raises(InfeasibleError) as want:
+        network_combined_plan(trees, h, failed)
+    with pytest.raises(InfeasibleError) as got:
+        combined_plan(trees, h, failed)
+    assert str(got.value) == str(want.value) == \
+        "no finite cut: min cut 20611 exceeds unit budget 16192"
+    assert got.value.blocking == want.value.blocking == failed
 
 
 def test_failed_plans_match_enumeration(rng):

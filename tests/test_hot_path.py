@@ -8,9 +8,9 @@ without building a colored tree or a flow network, and failures reach the
 planner as per-level lost-point masks, without a Cell per lost summary.
 A batch is planned on the same arrays, without a flow network, with or
 without lost cells and also when its merged cut is infeasible. No
-subcommand and no planner builds a colored tree node: only a plan in which
-some query alone has no finite cut builds its flow network, from the level
-arrays, for the blocking cells, and the prefix-sum planner walks the arrays
+subcommand and no planner builds a colored tree node or a flow network,
+also when some query alone has no finite cut: the error's blocking cells
+come from the level arrays, and the prefix-sum planner walks the arrays
 too. The construction wave works on slot arrays and builds no node state
 until one is read."""
 
@@ -18,6 +18,7 @@ import pytest
 
 from gridcubes import protocol, recovery
 from gridcubes.cli import main
+from gridcubes.errors import InfeasibleError
 from gridcubes.division import greedy_divide
 from gridcubes.flow import (FlowGraph, QueryPlan, _build_graph, _solve, build_flow_graph,
                             combined_plan, mark_failed, min_cut_plan, plan_query)
@@ -161,6 +162,29 @@ def test_batches_build_no_flow_network(monkeypatch, capsys, case):
     assert not failed & result.retrieval
     merged = mark_failed(_build_graph([color_tree(h, a), color_tree(h, b)]), failed)
     assert (_solve(merged)[0] > merged.unit_count) == (case == "merged cut infeasible")
+
+
+@pytest.mark.parametrize("case", ["plan --fail", "batch plan", "plan_query", "combined_plan"])
+def test_infeasible_plans_build_no_tree_or_graph(monkeypatch, capsys, case):
+    dims = GridDims(8, 8)
+    h = build_hierarchy(GridValues.random(dims, seed=42), HierarchyConfig(dims, (2, 2, 2)))
+    a = region_from_rectangles([((0, 0), (3, 3)), ((4, 4), (7, 7)), ((2, 4), (3, 4))], dims)
+    b = region_from_rectangles([((1, 1), (6, 2)), ((5, 3), (6, 6))], dims)
+    failed = {h.cell_at(2, (4, 0)), h.cell_at(2, (4, 4))}
+    monkeypatch.setattr(TreeNode, "__init__", refuse_tree_or_graph)
+    monkeypatch.setattr(FlowGraph, "__init__", refuse_tree_or_graph)
+    if case in ("plan --fail", "batch plan"):
+        regions = ["--region", "G"] + (["--region", "Q2"] if case == "batch plan" else [])
+        assert main(["plan", "--scenario", THREE_LEVEL, *regions,
+                     "--fail", "2", "--fail", "4"]) == 0
+        assert capsys.readouterr().out == "INFEASIBLE L2(4,0) L2(4,4)\n"
+        return
+    with pytest.raises(InfeasibleError) as err:
+        if case == "plan_query":
+            plan_query(h, a, failed)
+        else:
+            combined_plan([color_tree(h, a), color_tree(h, b)], h, failed)
+    assert err.value.blocking == failed
 
 
 def refuse_lost_cells(*args):
