@@ -36,7 +36,8 @@ class RecoveryError(GridCubesError):
 
 
 class ScenarioError(GridCubesError):
-    """Scenario file problems; `kind` selects the CLI exit code."""
+    """Problems with a file the CLI reads or writes; `kind` selects its exit
+    code."""
 
     def __init__(self, message, kind="validation"):
         super().__init__(message)

@@ -191,6 +191,32 @@ def test_json_report_roundtrip(tmp_path, capsys):
     assert total == query["value"] == naive
 
 
+
+@pytest.mark.parametrize("argv", [
+    ("plan", "--scenario", THREE_LEVEL, "--region", "G"),
+    ("divide", "--scenario", THREE_LEVEL, "--region", "G", "--region", "Q2"),
+    ("ps-plan", "--scenario", PS4X4, "--region", "R81"),
+    ("recover", "--scenario", AREA, "--region", "Q",
+     "--fail", "cell:1:2,0", "--fail", "cell:1:2,2", "--fail", "cell:1:2,4"),
+], ids=lambda argv: argv[0])
+def test_json_report_is_one_line_with_sorted_keys(tmp_path, capsys, argv):
+    report_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, *argv, "--json", str(report_path))
+    assert code == 0
+    text = report_path.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("option", ["--json", "--svg"])
+def test_an_unwritable_output_path_exits_2(tmp_path, capsys, option):
+    command = "plan" if option == "--json" else "render"
+    target = tmp_path / "no" / "such" / "dir" / "out"
+    code, _, err = run(capsys, command, "--scenario", THREE_LEVEL, "--region", "G",
+                       option, str(target))
+    assert code == 2
+    assert f"error: cannot write {target}: No such file or directory" in err
+    assert not target.parent.exists()
+
 def test_render_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     for target in (a, b):

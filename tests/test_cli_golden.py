@@ -5,8 +5,11 @@ bad arguments.
 
 `tests/golden/cli.json` holds, per command line, its argv, exit code, stdout
 and `--json` report (null when the command fails before writing one). Each
-replay must match byte for byte. To re-record after a deliberate output
-change, run from the repository root:
+replay's exit code and stdout must match byte for byte, and its report must
+match by value, as parsed JSON. The report's layout, one line with sorted
+keys, is pinned by `test_json_report_is_one_line_with_sorted_keys` in
+`tests/test_cli.py`. To re-record after a deliberate output change, run from
+the repository root:
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
 """

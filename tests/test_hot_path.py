@@ -12,7 +12,10 @@ subcommand and no planner builds a colored tree node or a flow network,
 also when some query alone has no finite cut: the error's blocking cells
 come from the level arrays, and the prefix-sum planner walks the arrays
 too. The construction wave works on slot arrays and builds no node state
-until one is read."""
+until one is read. The `--json` report is encoded by json's C encoder, not
+by the pure-Python one that an indent selects."""
+
+import json
 
 import pytest
 
@@ -241,3 +244,16 @@ def test_construction_at_1024_builds_no_node_state(monkeypatch):
             for i in range(cols):
                 junction = ((i + 1) * side - 1, (j + 1) * side - 1)
                 assert protocol.node_slot(states, junction, level) == expected[j, i]
+
+
+def refuse_python_encoder(*args, **kwargs):
+    raise AssertionError("the pure-Python JSON encoder ran")
+
+
+@pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="json has no C encoder here")
+def test_the_json_report_is_written_by_the_c_encoder(monkeypatch, capsys, tmp_path):
+    report_path = tmp_path / "report.json"
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse_python_encoder)
+    assert main(["plan", "--scenario", THREE_LEVEL, "--region", "G",
+                 "--json", str(report_path)]) == 0
+    assert json.loads(report_path.read_text())["plan"]["retrieval_size"] == 4
