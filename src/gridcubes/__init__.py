@@ -12,8 +12,9 @@ after node and area failures.
 from .division import CellCover, greedy_divide
 from .errors import (BoundsError, ConfigError, GridCubesError, InfeasibleError,
                      RecoveryError, ScenarioError, ValidationError)
-from .flow import (CombinedResult, FlowGraph, QueryPlan, build_flow_graph,
-                   combined_plan, mark_failed, min_cut_plan, plan_query)
+from .flow import (CombinedResult, FailureSet, FlowGraph, QueryPlan,
+                   build_flow_graph, combined_plan, failed_datapoints,
+                   mark_failed, min_cut_plan, plan_query)
 from .grid import (CornerClassification, CornerKind, GridDims, GridValues, Rect,
                    RectilinearRegion, classify_corners, corner_counts,
                    region_from_rectangles)
@@ -24,16 +25,17 @@ from .prefix import (PrefixSumCube, PSDataPoint, build_ps_cube, corner_weights,
                      ps_query_plan, rectangle_sum, rectilinear_sum)
 from .protocol import (NodeState, Packet, SimStats, junction_level, node_slot,
                        node_step, run_construction)
-from .recovery import (FailureSet, Reconstruction, RecoveryKind, RecoveryResult,
-                       failed_datapoints, plan_with_failures, recover_junction,
-                       recover_node, recover_region)
+from .recovery import (Reconstruction, RecoveryKind, RecoveryResult,
+                       plan_with_failures, recover_junction, recover_node,
+                       recover_region)
 
 __all__ = [
     "CellCover", "greedy_divide",
     "BoundsError", "ConfigError", "GridCubesError", "InfeasibleError",
     "RecoveryError", "ScenarioError", "ValidationError",
-    "CombinedResult", "FlowGraph", "QueryPlan", "build_flow_graph",
-    "combined_plan", "mark_failed", "min_cut_plan", "plan_query",
+    "CombinedResult", "FailureSet", "FlowGraph", "QueryPlan",
+    "build_flow_graph", "combined_plan", "failed_datapoints", "mark_failed",
+    "min_cut_plan", "plan_query",
     "CornerClassification", "CornerKind", "GridDims", "GridValues", "Rect",
     "RectilinearRegion", "classify_corners", "corner_counts",
     "region_from_rectangles",
@@ -43,7 +45,6 @@ __all__ = [
     "ps_query_plan", "rectangle_sum", "rectilinear_sum",
     "NodeState", "Packet", "SimStats", "junction_level", "node_slot",
     "node_step", "run_construction",
-    "FailureSet", "Reconstruction", "RecoveryKind", "RecoveryResult",
-    "failed_datapoints", "plan_with_failures", "recover_junction",
-    "recover_node", "recover_region",
+    "Reconstruction", "RecoveryKind", "RecoveryResult", "plan_with_failures",
+    "recover_junction", "recover_node", "recover_region",
 ]

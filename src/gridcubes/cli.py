@@ -3,9 +3,12 @@
 Subcommands: divide, plan, ps-plan, construct, recover, render. Output is
 line oriented; --json additionally writes a machine-readable report, one
 line of JSON with sorted keys. Each subcommand accepts only the options it
-reads, spelled in full. Exit codes: 0 success, 2 scenario parse error, usage
-error or an output file that cannot be written, 3 unresolved name, 4 bounds
-or validation error, 1 unexpected failure.
+reads, spelled in full. A `--fail node:` spec is a dead node to both `plan`
+and `recover`; a `cell:` spec is a lost data point (`FailureSet.points`) to
+`plan` and a dead area (`FailureSet.cells`) to `recover`. Exit codes: 0
+success, 2 scenario parse error, usage error or an output file that cannot
+be written, 3 unresolved name, 4 bounds or validation error, 1 unexpected
+failure.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ from functools import cache
 from .division import greedy_divide
 from .errors import (BoundsError, ConfigError, GridCubesError, InfeasibleError,
                      ScenarioError, ValidationError)
-from .flow import QueryPlan, combined_plan, plan_query
-from .hierarchy import Cell, CubeHierarchy, color_tree
+from .flow import FailureSet, QueryPlan, combined_plan, plan_query
+from .hierarchy import Cell, color_tree
 from .prefix import build_ps_cube, ps_query_plan
 from .protocol import run_construction
-from .recovery import FailureSet, failed_datapoints, plan_with_failures
+from .recovery import plan_with_failures
 from .render import render_svg
 from .scenario import Scenario, load_scenario
 
@@ -69,16 +72,6 @@ def _write(path: str, text: str) -> None:
         raise ScenarioError(f"cannot write {path}: {e.strerror}", kind="parse") from None
 
 
-def _failed_cells(scenario: Scenario, h: CubeHierarchy, specs) -> set[Cell]:
-    """Failure specs interpreted as unreadable data points for the planner.
-
-    A dead node loses its reading and every summary junctioned at it; a
-    `cell:` spec loses that one summary.
-    """
-    failures = scenario.failure_set(specs)
-    return set(failures.cells) | failed_datapoints(h, FailureSet.of(nodes=failures.nodes))
-
-
 def cmd_divide(scenario: Scenario, args, report: dict) -> int:
     h = scenario.hierarchy()
     results = []
@@ -97,7 +90,9 @@ def cmd_divide(scenario: Scenario, args, report: dict) -> int:
 
 def cmd_plan(scenario: Scenario, args, report: dict) -> int:
     h = scenario.hierarchy()
-    failed = _failed_cells(scenario, h, args.fail)
+    failures = scenario.failure_set(args.fail)
+    # To the planner a `cell:` spec is a lost data point; its nodes stay alive.
+    failed = FailureSet.of(failures.nodes, points=failures.cells)
     names = scenario.expand_query_names(args.region)
     out = {"queries": [], "infeasible": False}
     try:

@@ -3,24 +3,21 @@
 The colored tree becomes a flow network: a source feeds every grey node
 through an infinite edge, every white node plus a synthetic root drains into
 a sink through infinite edges, and each containment edge (child to parent)
-carries unit capacity in both directions. Every unit edge stands for one data
-point, the child cell's stored summary. A finite s-t cut assigns the partial
-nodes to the source or sink side; each crossing unit edge contributes the
-child's value, positive when the child sits on the source side and negative
-otherwise, and every finite cut evaluates to the exact region aggregate. The
-minimum cut therefore selects the fewest data points that answer the query.
+carries unit capacity in both directions, standing for one data point, the
+child cell's stored summary. A finite s-t cut assigns the partial nodes to
+the source or sink side; each crossing unit edge contributes the child's
+value, positive when the child sits on the source side and negative
+otherwise, so every finite cut evaluates to the exact region aggregate and
+the minimum cut reads the fewest data points. Infinity is one above the
+total unit capacity, so an infeasible instance (possible only after
+failures) shows as a cut value above that budget.
 
-For several queries at once the individual graphs are merged: a cell colored
-the same way in every query keeps a single node, while a cell appearing in
-different color groups gets one replica per group. When a grey or white
-replica coexists with a partial replica of the same cell, a small gadget node
-funnels both through a single unit edge so that no two edges of one data
-point can ever cross the same cut; the one min cut then yields all per-query
-plans and the shared retrieval set.
-
-Infinity is a sentinel capacity one above the total unit capacity, so an
-infeasible instance (possible only after failures) is detected by the cut
-value exceeding that budget.
+For several queries the graphs are merged: a cell colored the same way in
+every query keeps one node, and a cell in different color groups gets one
+replica per group. When a grey or white replica coexists with a partial
+replica of the same cell, a gadget node funnels both through one unit edge,
+so that no two edges of one data point cross the same cut; the one min cut
+gives every query's plan and the shared retrieval set.
 
 The cut is solved exactly by dynamic programming. Grey-side nodes (G, M+)
 sit on the source side and white-side nodes (W, M-) on the sink side in
@@ -35,27 +32,29 @@ the sink side, which reproduces the canonical minimum cut: the unique one
 with the smallest source side. ROOT is placed by the DP as well, so the cut
 value stays exact (equal to the maximum flow) when no finite cut exists.
 
+Failures are one `FailureSet`: dead nodes, dead areas and lost data points
+(cells whose summary is unreadable while their nodes stay alive).
+`lost_points` is the one code that turns it into the planner's lost masks,
+one bool array per level; `combined_plan` takes a FailureSet or Cells, read
+as lost points, and `mark_failed` checks its cells through `lost_points` too.
+
 Every plan is made by `_array_plan` on the level arrays of
 `hierarchy.level_colors`, with no tree node and no network: the rules of
-`_solve`, one level at a time. Lost points come as one bool array per level
-(`recovery.lost_points`, or the failed cells of `combined_plan`). A cell's
-data point costs w = 1, or a sentinel larger than any finite cut when it is
-lost, as `mark_failed` makes it. A cell's flags are ORed over the queries
-whose tree holds it: G, grey in some query; W, white in some; P, partial in
-some. With S the source side and T the sink side, a cell whose subtree costs
-s on S and t on T adds G*w + P*min(t, s + (not G)*w) to its parent's cost on
-T and W*w + P*min(s, t + (not W)*w) to its cost on S: a grey or white
-replica's arc is paid on its parent's side, and a partial replica pays its
-own arc only when no M+ or M- gadget carries it. With one query and no lost
-point, a level-1 cell's t is its count of region locations and its s the
-rest of its area. ROOT -> SINK puts ROOT on T in every finite cut. Top down,
-a partial cell under a parent on S goes to S iff s < t + (not W)*w, and
-under a parent on T iff s + (not G)*w < t: `_solve`'s tie rule. A query's
-side of a cell is S where the cell is grey in it, T where white, and the
-merged side where partial. Its plan terms are its tree cells whose side
-differs from their parent's, + for a cell on S under a parent on T and - the
-other way round; the retrieval set is the union of all terms, and the cut
-size the DP's value.
+`_solve`, one level at a time. A cell's data point costs w = 1, or a
+sentinel larger than any finite cut when it is lost. A cell's flags are ORed
+over the queries whose tree holds it: G, grey in some query; W, white in
+some; P, partial in some. With S the source side and T the sink side, a cell
+whose subtree costs s on S and t on T adds G*w + P*min(t, s + (not G)*w) to
+its parent's cost on T and W*w + P*min(s, t + (not W)*w) to its cost on S: a
+grey or white replica's arc is paid on its parent's side, and a partial
+replica pays its own arc only when no M+ or M- gadget carries it. ROOT ->
+SINK puts ROOT on T in every finite cut. Top down, a partial cell under a
+parent on S goes to S iff s < t + (not W)*w, and under a parent on T iff
+s + (not G)*w < t: `_solve`'s tie rule. A query's side of a cell is S where
+the cell is grey in it, T where white, and the merged side where partial.
+Its plan terms are its tree cells whose side differs from their parent's, +
+for a cell on S under a parent on T and - the other way round; the retrieval
+set is the union of all terms, and the cut size the DP's value.
 
 The DP runs on a stack of rows: each query's own flags and, for a batch,
 their union. The per-query rows are `combined_plan`'s fallback. Sharing a
@@ -65,10 +64,10 @@ merged cut although every query has one; the smaller retrieval set wins,
 ties going to the merged cut.
 
 When some query alone has no finite cut, the merged network has none, and
-its InfeasibleError comes from the union flags too. Its unit budget U counts
-[G or P] + [W or P] over the union tree's cells, and its min cut is
-min(cost with ROOT on T, U + 1 + cost with ROOT on S), a lost point costing
-U + 1. Its blocking cells are the lost cells whose + arc runs from a
+`_array_plan` raises its InfeasibleError, from the union flags too. Its unit
+budget U counts [G or P] + [W or P] over the union tree's cells, and its min
+cut is min(cost with ROOT on T, U + 1 + cost with ROOT on S), a lost point
+costing U + 1. Its blocking cells are the lost cells whose + arc runs from a
 source-reached tail (grey, or a source-reached partial replica) to a
 sink-reaching parent, or whose - arc runs from a source-reached parent to a
 sink-reaching head (white, or a sink-reaching partial replica). A partial
@@ -76,9 +75,8 @@ replica is source-reached when it holds a lost child that is grey or
 source-reached from below, or when it is lost under a source-reached
 parent; sink-reaching mirrors this with white for grey, and ROOT reaches
 the sink. One pass up over `gather` and one down over `spread` give both.
-The network stays as the reduction written out and the tests' oracle, read
-from the colored trees' nodes: only tests, demos and the benchmark's check
-build it.
+The network is the reduction written out and the tests' oracle: only tests,
+demos and the benchmark's check build it.
 """
 
 from __future__ import annotations
@@ -89,7 +87,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BoundsError, InfeasibleError, ValidationError
-from .grid import RectilinearRegion
+from .grid import Coord, GridDims, RectilinearRegion
 from .hierarchy import Cell, Color, CubeHierarchy, HierarchyTree, color_tree, level_colors
 
 SOURCE = 0
@@ -131,8 +129,9 @@ class FlowGraph:
     their heads and arc_cap their capacities, the reverse arc's being 0.
     """
 
-    def __init__(self, num_queries, node_kind, arc_to, arc_cap,
+    def __init__(self, hierarchy, num_queries, node_kind, arc_to, arc_cap,
                  data_arcs, u_node, g_node, unit_count, failed=frozenset()):
+        self.hierarchy = hierarchy
         self.num_queries = num_queries
         self.node_kind = node_kind      # per node: "s"/"t"/"root" or (cell, role)
         self.arc_to = arc_to
@@ -153,17 +152,11 @@ class FlowGraph:
         return sorted(self.u_node.values())
 
     def forced_side(self, node: int) -> str | None:
+        """The side every finite cut puts the node on, None for a free node."""
         kind = self.node_kind[node]
-        if kind == "s":
-            return "S"
-        if kind in ("t", "root"):
-            return "T"
-        role = kind[1]
-        if role in ("G", "M+"):
-            return "S"
-        if role in ("W", "M-"):
-            return "T"
-        return None
+        role = kind if isinstance(kind, str) else kind[1]
+        return ("S" if role in ("s", "G", "M+")
+                else "T" if role in ("t", "root", "W", "M-") else None)
 
 
 _COLOR_SLOT = {Color.GREY: 0, Color.WHITE: 1, Color.PARTIAL: 2}
@@ -249,7 +242,7 @@ def _build_graph(trees: Sequence[HierarchyTree]) -> FlowGraph:
             data_arcs.append(DataArc(add_arc(p, head, 1), p, head, cell, -1,
                                      frozenset(whites), frozenset(parts)))
 
-    return FlowGraph(len(trees), node_kind, arc_to, arc_cap,
+    return FlowGraph(h, len(trees), node_kind, arc_to, arc_cap,
                      data_arcs, u_node, g_node, unit_count)
 
 
@@ -261,14 +254,17 @@ def mark_failed(g: FlowGraph, failed_cells: Iterable[Cell]) -> FlowGraph:
     """Raise the capacity of each failed cell's data-point edges to infinity.
 
     An infinite edge can never be part of a finite cut, so the planner is
-    forced around the failed summaries or reports infeasibility.
+    forced around the failed summaries or reports infeasibility. As the
+    planner does, it raises BoundsError for a cell that is not one of the
+    cube's cells.
     """
     failed = g.failed | frozenset(failed_cells)
+    lost_points(g.hierarchy, FailureSet(points=failed))
     cap = list(g.arc_cap)
     for da in g.data_arcs:
         if da.cell in failed:
             cap[da.arc] = g.inf
-    return FlowGraph(g.num_queries, g.node_kind, g.arc_to, cap,
+    return FlowGraph(g.hierarchy, g.num_queries, g.node_kind, g.arc_to, cap,
                      g.data_arcs, g.u_node, g.g_node, g.unit_count, failed)
 
 
@@ -303,30 +299,18 @@ def _blocking(g: FlowGraph) -> frozenset[Cell]:
 
 
 def _solve(g: FlowGraph):
-    """Exact minimum s-t cut of `g` by two passes over the replica tree.
+    """Exact minimum s-t cut of `g` by the two passes of the module
+    docstring over the replica tree, whose free nodes are ROOT and the
+    partial replicas.
 
     Returns (cut value, source-side node set, crossing data arcs, blocking
     cells); the cut value equals the maximum flow, and blocking is empty
-    unless the value exceeds the unit budget.
-
-    The free nodes are ROOT and the partial replicas; every data arc runs
-    between a cell's node and its parent cell's partial replica (or ROOT).
-    An arc whose other end is a grey-side node (G, M+) costs its capacity
-    when the parent end sits on the sink side, one whose other end is a
-    white-side node (W, M-) when the parent end sits on the source side, and
-    an arc between two partial replicas is a pairwise cost on the tree edge.
-    The bottom-up pass gives each free node its subtree's (cost on S, cost
-    on T); parents' partial replicas are created before their children's,
-    so descending node ids visit children first. The top-down pass then
-    places each node, sending ties to the sink side, which yields the
-    unique minimal source side: the set of nodes a maximum flow's residual
-    graph reaches from the source.
-
-    Grey-side nodes sit on the source side and white-side nodes on the sink
-    side in every finite cut. Only when the instance is infeasible can a
-    grey-side node tie, when its own data arc is infinite and its parent
-    end (and, for M+, its cell's partial replica) sits on the sink side; it
-    then goes to the sink side too.
+    unless the value exceeds the unit budget. Parents' partial replicas are
+    created before their children's, so descending node ids visit children
+    first. Only when the instance is infeasible can a grey-side node tie,
+    when its own data arc is infinite and its parent end (and, for M+, its
+    cell's partial replica) sits on the sink side; it then goes to the sink
+    side too.
     """
     n = g.node_count
     inf, cap = g.inf, g.arc_cap
@@ -414,14 +398,10 @@ def _check_feasible(value: int, budget: int, blocking: Iterable[Cell]):
 
 
 def min_cut_plan(g: FlowGraph, h: CubeHierarchy) -> QueryPlan:
-    """The provably smallest signed data-point set answering the query.
-
-    The cut is solved exactly by the two-pass tree DP of `_solve`. Ties
-    between minimum cuts go to the sink side, which yields the canonical cut
-    with the unique minimal source side (the nodes a maximum flow's residual
-    graph reaches from the source). Raises InfeasibleError when failures
-    leave no finite cut; its `blocking` holds the failed cells with a data
-    point on a source-to-sink path of infinite arcs.
+    """The provably smallest signed data-point set answering the query, from
+    the canonical cut of `_solve`. InfeasibleError when failures leave no
+    finite cut; its `blocking` holds the failed cells with a data point on a
+    source-to-sink path of infinite arcs.
     """
     value, reach, crossing, blocking = _solve(g)
     _check_feasible(value, g.unit_count, blocking)
@@ -437,31 +417,83 @@ class CombinedResult:
     from_combined: bool  # False when independent per-query optima were smaller
 
 
-def _lost_masks(h: CubeHierarchy, failed_cells: Iterable[Cell]) -> list[np.ndarray] | None:
-    """The failed cells as one bool array per level, laid out as
-    `h.level_array(k)`, or None; BoundsError for one that is not `h`'s."""
-    lost = None
-    for cell in failed_cells:
+@dataclass(frozen=True)
+class FailureSet:
+    """Failures of three kinds: dead nodes, dead areas (`cells`, every node
+    of each cell) and lost data points (`points`, cells whose summary is
+    unreadable while their nodes stay alive)."""
+
+    nodes: frozenset[Coord] = frozenset()
+    cells: frozenset[Cell] = frozenset()
+    points: frozenset[Cell] = frozenset()
+
+    @classmethod
+    def of(cls, nodes=(), cells=(), points=()) -> "FailureSet":
+        return cls(frozenset(nodes), frozenset(cells), frozenset(points))
+
+    def area(self) -> frozenset[Coord]:
+        """The dead locations one by one: the tests' reference for `dead`."""
+        return frozenset(self.nodes).union(*(c.bounds.coords() for c in self.cells))
+
+    def dead(self, dims: GridDims) -> np.ndarray:
+        """The dead nodes and every location of the dead areas as one mask,
+        indexed [y, x]; BoundsError for a node or area off the grid."""
+        dead = np.zeros((dims.height, dims.width), dtype=bool)
+        nodes = np.array(list(self.nodes), dtype=np.int64).reshape(-1, 2)
+        off = ((nodes < 0) | (nodes >= (dims.width, dims.height))).any(axis=1)
+        if off.any():
+            raise BoundsError(f"{tuple(nodes[off][0].tolist())} outside grid {dims}")
+        dead[nodes[:, 1], nodes[:, 0]] = True
+        for c in self.cells:
+            b = c.bounds
+            if not (dims.contains((b.x0, b.y0)) and dims.contains((b.x1, b.y1))):
+                raise BoundsError(f"{c.label()} outside grid {dims}")
+            dead[b.y0:b.y1 + 1, b.x0:b.x1 + 1] = True
+        return dead
+
+
+def lost_points(h: CubeHierarchy, failures: FailureSet) -> tuple[np.ndarray, ...] | None:
+    """The planner's lost masks: per level k, the unreadable summaries as a
+    bool array laid out as `h.level_array(k)`, those whose junction is dead
+    (the dead mask at each block's last row and column) and the lost data
+    points. None when nothing failed; BoundsError for a node or area off the
+    grid, or a lost point that is not one of `h`'s cells."""
+    if not (failures.nodes or failures.cells or failures.points):
+        return None
+    dead = failures.dead(h.dims)
+    lost = [dead]
+    for level in range(1, h.height + 1):
+        rows, cols = h.level_array(level).shape
+        ys = [last for _, last in h.config._spans(level, range(rows), h.dims.height)]
+        xs = [last for _, last in h.config._spans(level, range(cols), h.dims.width)]
+        lost.append(dead[np.ix_(ys, xs)])
+    for cell in failures.points:
         b = cell.bounds
         side = h.config.side(cell.level) if 0 <= cell.level <= h.height else 0
         if not side or any(not 0 <= lo < n or lo % side or hi != min(lo + side, n) - 1 for lo, hi, n
                            in ((b.x0, b.x1, h.dims.width), (b.y0, b.y1, h.dims.height))):
             raise BoundsError(f"{cell!r} is not a cell of the cube")
-        if lost is None:
-            lost = [np.zeros(h.level_array(k).shape, dtype=bool) for k in range(h.height + 1)]
         lost[cell.level][b.y0 // side, b.x0 // side] = True
-    return lost
+    return tuple(lost)
+
+
+def failed_datapoints(h: CubeHierarchy, failures: FailureSet) -> set[Cell]:
+    """The Cells whose stored summary is lost, as `lost_points` gives them."""
+    out: set[Cell] = set()
+    for level, lost in enumerate(lost_points(h, failures) or ()):
+        rows, cols = np.nonzero(lost)
+        out.update(h.config.indexed_cells(level, cols.tolist(), rows.tolist()))
+    return out
 
 
 def _array_plan(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
-                lost: Sequence[np.ndarray] | None, explain: bool = False
-                ) -> tuple[tuple[QueryPlan, ...], list[Cell], int, bool] | None:
+                lost: Sequence[np.ndarray] | None
+                ) -> tuple[tuple[QueryPlan, ...], list[Cell], int, bool]:
     """The fields of `combined_plan`'s result for `regions`, by the
     per-level rules of the module docstring, with the retrieval set as a
-    list of the terms' cells. When the lost points (one bool array per
-    level, laid out as `h.level_array(k)`, or None) leave some region alone
-    no finite cut: None, or with `explain` the merged network's
-    InfeasibleError, raised."""
+    list of the terms' cells. When the lost points (`lost_points`' masks,
+    or None) leave some region alone no finite cut, the merged network's
+    InfeasibleError is raised."""
     n = len(regions)
     # One region's arrays come without the query axis, which numpy would
     # broadcast against the per-level weights.
@@ -505,29 +537,27 @@ def _array_plan(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
             s, t = levels[lc.level + 1].gather(to_s), levels[lc.level + 1].gather(to_t)
     # ROOT -> SINK puts ROOT on S at cost inf, so a finite cut has ROOT on T.
     cut = to_t.sum(axis=(-2, -1)).reshape(-1)  # per row
-    if (cut[:n] >= inf).any():
-        if explain:  # some query alone has no finite cut, so the merged one has none
-            flags = [(union(lc.grey, lc), union(lc.white, lc), union(lc.partial, lc), w >= inf)
-                     for lc, w in zip(levels, weights)]
-            budget = sum(int((g | p).sum() + (wh | p).sum()) for g, wh, p, _ in flags)
-            ups = []  # per level: partial replicas source-reached and sink-reaching from below
-            for lc, (g, wh, p, lo) in zip(levels, flags):
-                ups.append(tuple(p & (lc.gather(a) > 0) for a in arcs) if lc.level else (p, p))
-                # The lost + arcs from a source-reached tail, - arcs to a sink-reaching head.
-                arcs = lo & (g | ups[-1][0]), lo & (wh | ups[-1][1])
-            src_above, snk_above, blocking = arcs[0].any(), True, []  # ROOT -> SINK
-            for lc, (g, wh, p, lo), (src, snk) in reversed(list(zip(levels, flags, ups))):
-                src, snk = src | lo & p & src_above, snk | lo & p & snk_above
-                js, is_ = np.nonzero(lo & ((g | p & src) & snk_above | src_above & (wh | p & snk)))
-                blocking += h.config.indexed_cells(lc.level, (is_ + lc.i0).tolist(),
-                                                   (js + lc.j0).tolist())
-                if lc.level:
-                    src_above, snk_above = lc.spread(src), lc.spread(snk)
-            # A side costs lost arcs * inf + finite arcs; the network's lost arc costs U + 1.
-            root_s = inf + int(to_s.sum(axis=(-2, -1)).reshape(-1)[-1])
-            lost_arcs, finite = divmod(min(int(cut[-1]), root_s), inf)
-            _check_feasible(lost_arcs * (budget + 1) + finite, budget, blocking)
-        return None
+    if (cut[:n] >= inf).any():  # some query alone has no finite cut, so the merged one has none
+        flags = [(union(lc.grey, lc), union(lc.white, lc), union(lc.partial, lc), w >= inf)
+                 for lc, w in zip(levels, weights)]
+        budget = sum(int((g | p).sum() + (wh | p).sum()) for g, wh, p, _ in flags)
+        ups = []  # per level: partial replicas source-reached and sink-reaching from below
+        for lc, (g, wh, p, lo) in zip(levels, flags):
+            ups.append(tuple(p & (lc.gather(a) > 0) for a in arcs) if lc.level else (p, p))
+            # The lost + arcs from a source-reached tail, - arcs to a sink-reaching head.
+            arcs = lo & (g | ups[-1][0]), lo & (wh | ups[-1][1])
+        src_above, snk_above, blocking = arcs[0].any(), True, []  # ROOT -> SINK
+        for lc, (g, wh, p, lo), (src, snk) in reversed(list(zip(levels, flags, ups))):
+            src, snk = src | lo & p & src_above, snk | lo & p & snk_above
+            js, is_ = np.nonzero(lo & ((g | p & src) & snk_above | src_above & (wh | p & snk)))
+            blocking += h.config.indexed_cells(lc.level, (is_ + lc.i0).tolist(),
+                                               (js + lc.j0).tolist())
+            if lc.level:
+                src_above, snk_above = lc.spread(src), lc.spread(snk)
+        # A side costs lost arcs * inf + finite arcs; the network's lost arc costs U + 1.
+        root_s = inf + int(to_s.sum(axis=(-2, -1)).reshape(-1)[-1])
+        lost_arcs, finite = divmod(min(int(cut[-1]), root_s), inf)
+        _check_feasible(lost_arcs * (budget + 1) + finite, budget, blocking)
 
     on_s = [None] * (h.height + 1)  # per level, each row's partial cells on S
     above = [None] * (h.height + 1)  # per level, each row's parents on S
@@ -577,14 +607,14 @@ def _array_plan(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
 
 
 def plan_query(h: CubeHierarchy, region: RectilinearRegion,
-               failed_cells: Iterable[Cell] = ()) -> QueryPlan:
+               failed_cells: FailureSet | Iterable[Cell] = ()) -> QueryPlan:
     """`min_cut_plan(mark_failed(build_flow_graph(color_tree(h, region)),
     failed_cells), h)`: `combined_plan`'s plan for the one region."""
     return combined_plan([color_tree(h, region)], h, failed_cells).plans[0]
 
 
 def combined_plan(trees: Sequence[HierarchyTree], h: CubeHierarchy,
-                  failed_cells: Iterable[Cell] = ()) -> CombinedResult:
+                  failed_cells: FailureSet | Iterable[Cell] = ()) -> CombinedResult:
     """Jointly plan one or several queries, sharing data points across them.
 
     One cut DP over the level arrays, with every cell's flags ORed over the
@@ -592,15 +622,18 @@ def combined_plan(trees: Sequence[HierarchyTree], h: CubeHierarchy,
     read off its own tree. The same pass plans each query alone, and the
     smaller retrieval set wins, ties going to the merged cut (see the module
     docstring). One tree's merged cut is its own, so it always wins.
+    `failed_cells` is a FailureSet, or Cells taken as its lost data points.
     InfeasibleError, with the merged network's message and blocking cells
     read off the same arrays, only when some query alone has no plan;
-    BoundsError for a failed cell that is not one of `h`'s cells.
+    BoundsError for a lost point that is not one of `h`'s cells.
     """
     trees = list(trees)
     if not trees:
         raise ValidationError("combined_plan needs at least one colored tree")
     if any(tree.hierarchy is not h for tree in trees):
         raise ValidationError("every tree must be colored over the hierarchy it is planned on")
+    failures = (failed_cells if isinstance(failed_cells, FailureSet)
+                else FailureSet.of(points=failed_cells))
     plans, retrieval, cut_size, from_combined = _array_plan(
-        h, [tree.region for tree in trees], _lost_masks(h, failed_cells), explain=True)
+        h, [tree.region for tree in trees], lost_points(h, failures))
     return CombinedResult(plans, frozenset(retrieval), cut_size, from_combined)

@@ -8,16 +8,13 @@ stored at its south-east peer junctions, from one extra stored slot at the
 three immediate neighbours in redundant mode, or by complementing the parent
 sum against alive siblings.
 
-Failures are one dead-location mask (`FailureSet.dead`); `lost_points`
-samples it at each level's junctions, where the level's summaries are
-stored, giving the per-level lost-point masks that the planner reads.
-
-Query recovery walks failed areas bottom-up: the requested failed portion is
-grown level by level until it is enclosed by readable cells; if the enclosure
-ends up larger than requested, the answer falls back to a uniformity estimate
-that scales the recovered sum by the requested/recovered area ratio, taken
-over the smallest recoverable enclosure. Queries untouched by failures plan
-exactly as usual.
+Query recovery reads one dead mask (`FailureSet.dead`), and the planner the
+lost masks that `flow.lost_points` samples from it. Each 4-connected dead
+component meeting the query is grown level by level until readable cells
+enclose it; every sum is a masked sum. If the enclosure is larger than
+requested, the answer falls back to a uniformity estimate that scales the
+recovered sum by the requested/recovered area ratio, taken over the smallest
+recoverable enclosure. Queries untouched by failures plan exactly as usual.
 """
 
 from __future__ import annotations
@@ -30,42 +27,12 @@ from functools import partial
 
 import numpy as np
 
-from .errors import BoundsError, RecoveryError
-from .flow import _array_plan
-from .grid import Coord, GridDims, RectilinearRegion
+from .errors import InfeasibleError, RecoveryError, ValidationError
+# FailureSet, lost_points and failed_datapoints live in flow; this re-exports them.
+from .flow import FailureSet, _array_plan, failed_datapoints, lost_points  # noqa: F401
+from .grid import Coord, RectilinearRegion
 from .hierarchy import Cell, CubeHierarchy, HierarchyConfig, cell_of
 from .protocol import NodeState, node_slot
-
-
-@dataclass(frozen=True)
-class FailureSet:
-    nodes: frozenset[Coord] = frozenset()
-    cells: frozenset[Cell] = frozenset()
-
-    @classmethod
-    def of(cls, nodes=(), cells=()) -> "FailureSet":
-        return cls(frozenset(nodes), frozenset(cells))
-
-    def area(self) -> frozenset[Coord]:
-        out = set(self.nodes)
-        for c in self.cells:
-            out.update(c.bounds.coords())
-        return frozenset(out)
-
-    def dead(self, dims: GridDims) -> np.ndarray:
-        """The failed nodes and every location of the failed cells as one
-        mask, indexed [y, x]; BoundsError for a node or cell off the grid."""
-        dead = np.zeros((dims.height, dims.width), dtype=bool)
-        for p in self.nodes:
-            if not dims.contains(p):
-                raise BoundsError(f"{p} outside grid {dims}")
-            dead[p[1], p[0]] = True
-        for c in self.cells:
-            b = c.bounds
-            if not (dims.contains((b.x0, b.y0)) and dims.contains((b.x1, b.y1))):
-                raise BoundsError(f"{c.label()} outside grid {dims}")
-            dead[b.y0:b.y1 + 1, b.x0:b.x1 + 1] = True
-        return dead
 
 
 class RecoveryKind(Enum):
@@ -321,42 +288,17 @@ def recover_junction(states: Mapping[Coord, NodeState], failed: Coord, level: in
     return Reconstruction(value, donors, reads, distance)
 
 
-def lost_points(h: CubeHierarchy, failures: FailureSet) -> tuple[np.ndarray, ...] | None:
-    """Per level k, the summaries whose junction is dead, as a bool array laid
-    out as `level_array(k)`: the dead mask at the last row and column of each
-    block under the clipped block rule. None when nothing failed."""
-    if not (failures.nodes or failures.cells):
-        return None
-    dead = failures.dead(h.dims)
-    lost = [dead]
-    for level in range(1, h.height + 1):
-        rows, cols = h.level_array(level).shape
-        ys = [last for _, last in h.config._spans(level, range(rows), h.dims.height)]
-        xs = [last for _, last in h.config._spans(level, range(cols), h.dims.width)]
-        lost.append(dead[np.ix_(ys, xs)])
-    return tuple(lost)
-
-
-def failed_datapoints(h: CubeHierarchy, failures: FailureSet) -> set[Cell]:
-    """The Cells whose stored summary is lost, as `lost_points` gives them."""
-    out: set[Cell] = set()
-    for level, lost in enumerate(lost_points(h, failures) or ()):
-        rows, cols = np.nonzero(lost)
-        out.update(h.config.indexed_cells(level, cols.tolist(), rows.tolist()))
-    return out
-
-
-def _cell_readable(h: CubeHierarchy, cell: Cell, area: frozenset[Coord],
+def _cell_readable(h: CubeHierarchy, cell: Cell, dead: np.ndarray,
                    memo: dict[Cell, int | None]) -> int | None:
-    """Reads needed to obtain V(cell), a cell above level 0, under the
-    failure area, or None. A cell whose junction died is solved from its
-    parent cell's block-prefix identities, as in recover_junction's last
-    resort. `memo` holds the results under this area so far; dead junctions
-    that escalate to one parent share its solve.
+    """Reads needed to obtain V(cell), a cell above level 0, under the dead
+    mask, or None. A cell whose junction died is solved from its parent
+    cell's block-prefix identities, as in recover_junction's last resort.
+    `memo` holds the results under this mask so far; dead junctions that
+    escalate to one parent share its solve.
     """
     if cell in memo:
         return memo[cell]
-    if cell.junction not in area:
+    if not dead[cell.bounds.y1, cell.bounds.x1]:
         return 1
     if cell.level >= h.height:
         return None
@@ -365,11 +307,11 @@ def _cell_readable(h: CubeHierarchy, cell: Cell, area: frozenset[Coord],
         side = h.config.side(cell.level)
         stored = {cell.level: h.level_array(cell.level),
                   parent.level: h.prefix_array(parent.level)}
-        return lambda p, k: (None if p in area
+        return lambda p, k: (None if dead[p[1], p[0]]
                              else stored[k][p[1] // side, p[0] // side].item())
 
     def escalate(parent):
-        reads = _cell_readable(h, parent, area, memo)
+        reads = _cell_readable(h, parent, dead, memo)
         return None if reads is None else Reconstruction(h.value(parent), (), reads)
 
     value, used, upper = _parent_block(h.config, cell, slots, escalate)
@@ -377,89 +319,115 @@ def _cell_readable(h: CubeHierarchy, cell: Cell, area: frozenset[Coord],
     return memo[cell]
 
 
-def _component(area: frozenset[Coord], seed: Coord) -> frozenset[Coord]:
-    """The 4-connected component of `area` holding `seed`."""
-    comp, stack = {seed}, [seed]
-    while stack:
-        x, y = stack.pop()
-        for n in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if n in area and n not in comp:
-                comp.add(n)
-                stack.append(n)
-    return frozenset(comp)
+def _components(dead: np.ndarray) -> np.ndarray:
+    """Per location, a label that two dead locations share iff they are
+    4-connected through dead locations (0 where alive). Each run of dead
+    locations in a row starts with its own label; two runs touching across
+    rows meet in one stretch of columns, whose first column pairs them.
+    Until every pair agrees, the larger label of each differing pair points
+    to the smaller, and every label is followed to the end of its pointers.
+    """
+    starts, touch = dead.copy(), dead[1:] & dead[:-1]
+    starts[:, 1:] &= ~dead[:, :-1]
+    runs = np.cumsum(starts, dtype=np.int32).reshape(dead.shape) * dead
+    first = touch.copy()
+    first[:, 1:] &= ~touch[:, :-1]
+    below, above = runs[1:][first], runs[:-1][first]
+    label = np.arange(int(runs.max(initial=0)) + 1, dtype=np.int32)
+    while True:
+        a, b = label[below], label[above]
+        apart = a != b
+        if not apart.any():
+            return label[runs]
+        np.minimum.at(label, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
 
 
-def recover_region(h: CubeHierarchy, failures: FailureSet,
-                   query: RectilinearRegion,
+def _locations(mask: np.ndarray) -> frozenset[Coord]:
+    """The True entries of a grid-sized mask as (x, y) locations."""
+    ys, xs = np.nonzero(mask)
+    return frozenset(zip(xs.tolist(), ys.tolist()))
+
+
+def recover_region(h: CubeHierarchy, failures: FailureSet, query: RectilinearRegion,
                    lost: tuple[np.ndarray, ...] | None = None) -> RecoveryResult:
     """Answer a query across failures, exactly when possible.
 
-    Each failed component intersecting the query is grown level by level
-    until a readable enclosure is found: the level-1 cells holding its
-    failed locations, then their parents, since every enclosure cell holds
-    a failed location. Its sum is the enclosing cells' values minus the
-    alive remainder, and minus the failed sums of earlier portions it takes
-    in. An enclosure larger than the requested part yields a uniformity
-    estimate scaled by the area ratio. `lost` is lost_points(h, failures)
-    when the caller has it already.
+    Each 4-connected component of the dead mask meeting the query is grown
+    level by level until a readable enclosure is found: the level-1 cells
+    holding its dead locations in the query, then their parents, since every
+    enclosure cell holds a dead location. Its sum is the enclosing cells'
+    values minus the alive remainder and the dead sums of earlier portions
+    it takes in. An enclosure larger than the requested part yields a
+    uniformity estimate scaled by the area ratio. `lost` is
+    lost_points(h, failures) when the caller has it already. ValidationError
+    for lost data points: recovery rebuilds dead nodes and areas only.
     """
-    area = failures.area()
-    if lost is None:
-        lost = lost_points(h, failures)
-    q_failed = frozenset(p for p in area if query.contains(p))
-    alive_mask = query.mask.copy()
-    for x, y in q_failed:
-        alive_mask[y - query.y0, x - query.x0] = False
-    q_alive = RectilinearRegion.from_mask(query.x0, query.y0, alive_mask)
+    if failures.points:
+        raise ValidationError("recovery takes dead nodes and areas, not lost data points")
+    dead = failures.dead(h.dims)
+    in_query = np.zeros(dead.shape, dtype=bool)
+    in_query[query.y0:, query.x0:][:query.mask.shape[0], :query.mask.shape[1]] = query.mask
     # Every grey cell of an all-alive region has its junction in it, so its
     # summary is readable and the cut reading the maximal grey cells is finite.
-    plan = _array_plan(h, (q_alive,), lost)[0][0]
+    plan = _array_plan(h, (RectilinearRegion.from_mask(0, 0, in_query & ~dead),),
+                       lost_points(h, failures) if lost is None else lost)[0][0]
     total, reads = plan.value, plan.size
-    recovered: set[Coord] = set()
+    q_dead = in_query & dead
+    requested = _locations(q_dead)
+    ys, xs = np.nonzero(q_dead)  # row-major, so the first pending one seeds each portion
+    labels = _components(dead)[ys, xs]
+    pending = np.ones(len(ys), dtype=bool)
+    recovered = np.zeros(dead.shape, dtype=bool)
     done: set[Cell] = set()  # maximal cells of the portions recovered so far
     readable: dict[Cell, int | None] = {}
     any_estimate = False
-    pending = set(q_failed)
-    while pending:
-        seed = min(pending, key=lambda p: (p[1], p[0]))
-        cells = {h.cell_at(1, p) for p in pending & _component(area, seed)}
+    while pending.any():
+        portion = pending & (labels == labels[pending.argmax()])
+        cols, rows = xs[portion], ys[portion]  # level-0 block indices
         for level in range(1, h.height + 1):
-            if level > 1:
-                cells = {h.cell_at(level, c.junction) for c in cells}
-            cell_reads = [_cell_readable(h, c, area, readable) for c in cells]
+            f, width = h.config.fanouts[level - 1], h.level_array(level).shape[1]
+            blocks = np.flatnonzero(np.bincount(rows // f * width + cols // f))
+            rows, cols = np.divmod(blocks, width)
+            cells = h.config.indexed_cells(level, cols.tolist(), rows.tolist())
+            cell_reads = [_cell_readable(h, c, dead, readable) for c in cells]
             if None not in cell_reads:
                 break
         else:
             return RecoveryResult(RecoveryKind.UNRECOVERABLE, None,
-                                  frozenset(recovered), q_failed, reads)
-        covered = set()
-        for c in cells:
-            covered.update(c.bounds.coords())
-        grown = area & covered
-        alive_inside = covered - grown
-        value = sum(h.value(c) for c in cells) - sum(h.values.at(p) for p in alive_inside)
-        reads += sum(cell_reads) + len(alive_inside)
+                                  _locations(recovered), requested, reads)
+        # The cells' locations, on the window of their blocks clipped to the grid.
+        side = h.config.side(level)
+        x0, y0 = cols.min() * side, rows.min() * side
+        covered = np.zeros((rows.max() + 1 - rows.min(), cols.max() + 1 - cols.min()), dtype=bool)
+        covered[rows - rows.min(), cols - cols.min()] = True
+        covered = covered.repeat(side, 0).repeat(side, 1)[:h.dims.height - y0, :h.dims.width - x0]
+        window = np.s_[y0:y0 + covered.shape[0], x0:x0 + covered.shape[1]]
+        alive_inside = covered & ~dead[window]
+        value = sum(h.value(c) for c in cells) - h.values.array[window][alive_inside].sum().item()
+        reads += sum(cell_reads) + int(alive_inside.sum())
         # Every cell holds a location no earlier portion recovered, so it is
         # never inside an earlier portion's cell: the overlap is made of
-        # whole earlier cells, whose failed sums were counted already.
-        inside = {e for e in done if (e.bounds.x0, e.bounds.y0) in covered}
+        # whole earlier cells, whose dead sums were counted already.
+        taken = set(zip(cols.tolist(), rows.tolist()))
+        inside = {e for e in done if (e.bounds.x0 // side, e.bounds.y0 // side) in taken}
         for e in inside:
-            value -= h.value(e) - sum(h.values.at(p) for p in set(e.bounds.coords()) - area)
-        done = (done - inside) | cells
-        new = grown - recovered
-        wanted = sum(1 for p in new if query.contains(p))
-        if wanted == len(new):
-            total += value
-        else:
-            any_estimate = True
-            total += Fraction(value) * Fraction(wanted, len(new))
-        recovered.update(new)
-        pending -= new
+            b = np.s_[e.bounds.y0:e.bounds.y1 + 1, e.bounds.x0:e.bounds.x1 + 1]
+            value -= h.value(e) - h.values.array[b][~dead[b]].sum().item()
+        done = (done - inside) | set(cells)
+        new = covered & dead[window] & ~recovered[window]
+        count, wanted = int(new.sum()), int((new & in_query[window]).sum())
+        if wanted < count:
+            any_estimate, value = True, Fraction(value) * Fraction(wanted, count)
+        total += value
+        recovered[window] |= new
+        pending &= ~recovered[ys, xs]
 
     if isinstance(total, Fraction) and total.denominator == 1:
         total = int(total)
     kind = RecoveryKind.ESTIMATE if any_estimate else RecoveryKind.EXACT
-    return RecoveryResult(kind, total, frozenset(recovered), q_failed, reads)
+    return RecoveryResult(kind, total, _locations(recovered), requested, reads)
 
 
 def plan_with_failures(h: CubeHierarchy, failures: FailureSet,
@@ -470,7 +438,7 @@ def plan_with_failures(h: CubeHierarchy, failures: FailureSet,
     estimated or unrecoverable) otherwise.
     """
     lost = lost_points(h, failures)
-    planned = _array_plan(h, (query,), lost)
-    if planned is None:
+    try:
+        return _array_plan(h, (query,), lost)[0][0]
+    except InfeasibleError:
         return recover_region(h, failures, query, lost)
-    return planned[0][0]

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScenarioError
+from .flow import FailureSet
 from .grid import GridDims, GridValues, RectilinearRegion, region_from_rectangles
 from .hierarchy import CubeHierarchy, HierarchyConfig, build_hierarchy, cell_of
-from .recovery import FailureSet
 
 
 @dataclass

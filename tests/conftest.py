@@ -119,8 +119,8 @@ def has_pinch(region: RectilinearRegion) -> bool:
 
 def reference_failed_datapoints(h: CubeHierarchy, failures) -> set:
     """The lost summaries, location by location: each failed location's
-    reading and every cell junctioned at it."""
-    out = set()
+    reading and every cell junctioned at it, and the lost data points."""
+    out = set(failures.points)
     for p in failures.area():
         out.add(cell_of(h.config, 0, p))
         out.update(h.cells_at(p))

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from gridcubes.errors import BoundsError, InfeasibleError, ValidationError
 from gridcubes.division import greedy_divide
-from gridcubes.flow import (ROOT, SINK, SOURCE, CombinedResult, _build_graph, _extract_plans,
-                            _solve, build_flow_graph, combined_plan, mark_failed,
-                            min_cut_plan, plan_query)
+from gridcubes.flow import (ROOT, SINK, SOURCE, CombinedResult, FailureSet, _build_graph,
+                            _extract_plans, _solve, build_flow_graph, combined_plan,
+                            failed_datapoints, mark_failed, min_cut_plan, plan_query)
 from gridcubes.grid import GridDims, GridValues, Rect, RectilinearRegion, region_from_rectangles
 from gridcubes.hierarchy import Cell, Color, HierarchyConfig, build_hierarchy, color_tree
 
@@ -394,6 +394,24 @@ def test_combined_plan_is_infeasible_only_when_a_query_alone_is(case):
     assert [plan.value for plan in result.plans] == [plan.value for plan in alone]
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(batch_cases(), st.data())
+def test_a_failure_set_plans_as_its_lost_cells(case, data):
+    # Dead nodes and lost points reach the planner as one set of masks;
+    # planning them equals planning every summary they lose, given as Cells.
+    h, regions, failed = case
+    point = st.tuples(st.integers(0, h.dims.width - 1), st.integers(0, h.dims.height - 1))
+    failures = FailureSet.of(nodes=data.draw(st.lists(point, max_size=3)), points=failed)
+    trees = [color_tree(h, region) for region in regions]
+    outcomes = []
+    for given_as in (failures, failed_datapoints(h, failures)):
+        try:
+            outcomes.append(combined_plan(trees, h, given_as))
+        except InfeasibleError as e:
+            outcomes.append(e.blocking)
+    assert outcomes[0] == outcomes[1]
+
+
 @pytest.mark.parametrize("cell", [
     Cell(2, Rect(-4, 0, -1, 3)),  # off the grid, its corner's block is L2(4,0)
     Cell(1, Rect(6, 4, 8, 5)),    # not L1(6,4)'s bounds
@@ -406,7 +424,12 @@ def test_failed_cells_that_are_not_cells_of_the_cube_are_refused(cell):
     with pytest.raises(BoundsError):
         plan_query(h, region, {cell})
     with pytest.raises(BoundsError):
+        plan_query(h, region, FailureSet.of(points=[cell]))
+    with pytest.raises(BoundsError):
         combined_plan([color_tree(h, region), color_tree(h, third_region())], h, {cell})
+    # The network refuses them through the planner's own check.
+    with pytest.raises(BoundsError):
+        mark_failed(build_flow_graph(color_tree(h, region)), {cell})
 
 
 def test_combined_plan_rejects_an_empty_batch():

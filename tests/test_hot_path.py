@@ -5,7 +5,9 @@ corners, recovered across failures or rendered, and the prefix-sum cube is
 read in place, without building its per-cell tables. A single query, with
 or without failed cells, and a division are planned on level arrays,
 without building a colored tree or a flow network, and failures reach the
-planner as per-level lost-point masks, without a Cell per lost summary.
+planner as per-level lost-point masks, without a Cell per lost summary,
+also from `plan --fail node:`. Recovery reads the dead mask, never the
+dead area location by location.
 A batch is planned on the same arrays, without a flow network, with or
 without lost cells and also when its merged cut is infeasible. No
 subcommand and no planner builds a colored tree node or a flow network,
@@ -25,10 +27,11 @@ from gridcubes.errors import InfeasibleError
 from gridcubes.division import greedy_divide
 from gridcubes.flow import (FlowGraph, QueryPlan, _build_graph, _solve, build_flow_graph,
                             combined_plan, mark_failed, min_cut_plan, plan_query)
-from gridcubes.grid import GridDims, GridValues, RectilinearRegion, region_from_rectangles
-from gridcubes.hierarchy import HierarchyConfig, TreeNode, build_hierarchy, color_tree
+from gridcubes.grid import GridDims, GridValues, Rect, RectilinearRegion, region_from_rectangles
+from gridcubes.hierarchy import Cell, HierarchyConfig, TreeNode, build_hierarchy, color_tree
 from gridcubes.prefix import PrefixSumCube, build_ps_cube, ps_query_plan, rectilinear_sum
-from gridcubes.recovery import FailureSet, RecoveryResult, plan_with_failures, recover_region
+from gridcubes.recovery import (FailureSet, RecoveryKind, RecoveryResult, failed_datapoints,
+                                plan_with_failures, recover_region)
 
 from conftest import naive_region_sum
 
@@ -210,6 +213,64 @@ def test_failures_reach_the_planner_as_level_masks(monkeypatch):
     monkeypatch.undo()
     assert isinstance(exact, QueryPlan) and exact.value == naive_region_sum(vals, a)
     assert isinstance(recovered, RecoveryResult) and recovered == direct
+
+
+def test_node_failures_reach_the_planner_without_a_cell_per_lost_summary(
+        monkeypatch, capsys, tmp_path):
+    dims = GridDims(16, 16)
+    vals = GridValues.random(dims, seed=9)
+    h = build_hierarchy(vals, HierarchyConfig(dims, (2, 2, 2)))
+    a = region_from_rectangles([((4, 4), (11, 11))], dims)
+    dead = [(x, y) for x in range(16) for y in (0, 1)]
+    scenario = tmp_path / "dead_rows.json"
+    scenario.write_text(json.dumps({
+        "schema": 1, "grid": {"width": 16, "height": 16, "random": {"seed": 9}},
+        "hierarchy": {"fanouts": [2, 2, 2]},
+        "regions": [{"name": "A", "rects": [[4, 4, 11, 11]]}]}))
+    made = []
+    init = Cell.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cell, "__init__", counting)
+    result = combined_plan([color_tree(h, a)], h, FailureSet.of(nodes=dead))
+    direct = len(made)
+    assert main(["plan", "--scenario", str(scenario), "--region", "A"]
+                + [f"--fail=node:{x},{y}" for x, y in dead]) == 0
+    through_cli = len(made) - direct
+    monkeypatch.undo()
+    # The only Cells made are the plan's terms, far fewer than the lost summaries.
+    out = capsys.readouterr().out
+    assert direct == through_cli == result.plans[0].size
+    assert out.endswith(f"retrieval set: {direct} points\n")
+    assert len(failed_datapoints(h, FailureSet.of(nodes=dead))) > 2 * direct
+    assert result.plans[0].value == naive_region_sum(vals, a)
+
+
+def refuse_location_sets(*args):
+    raise AssertionError("the dead area was read location by location")
+
+
+def test_recovery_reads_the_dead_mask_not_location_sets(monkeypatch):
+    dims = GridDims(16, 16)
+    vals = GridValues.random(dims, seed=4)
+    h = build_hierarchy(vals, HierarchyConfig(dims, (2, 2, 2)))
+    nodes = [(3, 3), (5, 9), (12, 13)]
+    enclosed = FailureSet.of(nodes, [h.cell_at(2, (4, 8))])
+    crossing = FailureSet.of(nodes, [h.cell_at(2, (8, 4))])
+    a = region_from_rectangles([((1, 2), (9, 7)), ((4, 6), (13, 14))], dims)
+    monkeypatch.setattr(FailureSet, "area", refuse_location_sets)
+    monkeypatch.setattr(Rect, "coords", refuse_location_sets)
+    recovered = recover_region(h, enclosed, a)
+    through_plan = plan_with_failures(h, crossing, a)
+    assert main(["recover", "--scenario", AREA, "--region", "Q", "--fail", "cell:1:2,0",
+                 "--fail", "cell:1:2,2", "--fail", "cell:1:2,4"]) == 0
+    monkeypatch.undo()
+    assert recovered.kind is RecoveryKind.EXACT and recovered.value == naive_region_sum(vals, a)
+    assert isinstance(through_plan, RecoveryResult)
+    assert through_plan.requested_area == a.cells & crossing.area()
 
 
 def test_corner_expansion_at_1024_never_builds_cell_sets(monkeypatch):

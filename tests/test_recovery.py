@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridcubes import recovery
-from gridcubes.errors import BoundsError, RecoveryError
+from gridcubes.errors import BoundsError, RecoveryError, ValidationError
 from gridcubes.flow import QueryPlan
 from gridcubes.grid import GridDims, GridValues, Rect, region_from_rectangles
 from gridcubes.hierarchy import HierarchyConfig, build_hierarchy
@@ -376,7 +377,46 @@ def test_answers_under_failure_match_naive_summation(case):
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(failure_cases())
-def test_failed_datapoints_match_the_per_location_rule(case):
+@given(failure_cases(), st.data())
+def test_failed_datapoints_match_the_per_location_rule(case, data):
     _, h, failures, _ = case
+    point = st.tuples(st.integers(0, h.dims.width - 1), st.integers(0, h.dims.height - 1))
+    points = [h.cell_at(data.draw(st.integers(0, h.height)), p)
+              for p in data.draw(st.lists(point, max_size=3))]
+    failures = FailureSet.of(failures.nodes, failures.cells, points)
     assert failed_datapoints(h, failures) == reference_failed_datapoints(h, failures)
+
+
+def test_recover_region_refuses_lost_data_points():
+    vals, h, failures = area_failure_setup()
+    query = region_from_rectangles([((2, 0), (3, 1))], h.dims)
+    with pytest.raises(ValidationError):
+        recover_region(h, FailureSet.of(failures.nodes, failures.cells,
+                                        [h.cell_at(1, (0, 0))]), query)
+
+
+def reference_component(dead: set, seed) -> frozenset:
+    """The 4-connected component of the dead locations holding `seed`, by
+    a flood fill over the set."""
+    comp, stack = {seed}, [seed]
+    while stack:
+        x, y = stack.pop()
+        for n in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if n in dead and n not in comp:
+                comp.add(n)
+                stack.append(n)
+    return frozenset(comp)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 24), st.integers(0, 2**16),
+       st.sampled_from([0.2, 0.5, 0.7]))
+def test_component_labels_match_a_flood_fill(width, height, seed, density):
+    dead = np.random.default_rng(seed).random((height, width)) < density
+    labels = recovery._components(dead)
+    ys, xs = np.nonzero(dead)
+    locations = set(zip(xs.tolist(), ys.tolist()))
+    assert (labels > 0).sum() == len(locations)
+    for p in locations:
+        ys, xs = np.nonzero(labels == labels[p[1], p[0]])
+        assert set(zip(xs.tolist(), ys.tolist())) == reference_component(locations, p)
