@@ -35,7 +35,7 @@ def greedy_divide(h: CubeHierarchy, region: RectilinearRegion) -> CellCover:
     if not region:
         raise ValidationError("cannot divide an empty region")
     cells = []
-    for lc in level_colors(h, region):
-        js, is_ = np.nonzero(lc.grey & lc.in_tree)
+    for lc in level_colors(h, [region]):
+        js, is_ = np.nonzero(lc.grey[0] & lc.in_tree[0])
         cells += h.config.indexed_cells(lc.level, (is_ + lc.i0).tolist(), (js + lc.j0).tolist())
     return CellCover(tuple(sorted(cells, key=lambda c: (c.bounds.y0, c.bounds.x0))), region)

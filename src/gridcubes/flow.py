@@ -495,9 +495,7 @@ def _array_plan(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
     or None) leave some region alone no finite cut, the merged network's
     InfeasibleError is raised."""
     n = len(regions)
-    # One region's arrays come without the query axis, which numpy would
-    # broadcast against the per-level weights.
-    levels = level_colors(h, regions if n > 1 else regions[0])
+    levels = level_colors(h, regions)
     if not levels:
         return (QueryPlan((), 0),) * n, [], 0, True
     # A finite cut reads each cell at most once, so this exceeds every one.
@@ -505,7 +503,7 @@ def _array_plan(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
 
     def union(flags, lc):
         """The flags ORed over the queries whose tree holds the cell."""
-        return (flags & lc.in_tree).reshape((-1,) + flags.shape[-2:]).any(axis=0)
+        return (flags & lc.in_tree).any(axis=0)
 
     def with_union(flags, lc):
         """Each query's flags and, for a batch, their union."""
@@ -516,27 +514,27 @@ def _array_plan(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
     weights = []  # per level, each cell's point cost
     s = t = 0
     for lc in levels:
-        # Each point costs 1. As True, the products with a bool flag stay
+        # Each point costs 1. As bools, the products with a bool flag stay
         # bool, a byte per cell: a batch's window can span the whole grid.
-        w = True
+        # An array, not the scalar True: numpy's bool ops with a scalar
+        # operand run about 15 times slower.
+        w = np.ones(lc.grey.shape[-2:], dtype=bool if lost is None else np.int64)
         if lost is not None:
-            w = np.ones(lc.grey.shape[-2:], dtype=np.int64)
             window = lost[lc.level][lc.j0:lc.j0 + w.shape[0], lc.i0:lc.i0 + w.shape[1]]
             w[:window.shape[0], :window.shape[1]][window] = inf
         weights.append(w)
         grey, white = with_union(lc.grey, lc), with_union(lc.white, lc)
         to_s, to_t = white * w, grey * w
         if lc.level:  # level 0 holds no partial cell
-            partial, up, down = with_union(lc.partial, lc), w, w
-            if n > 1:  # one query's partial cells are neither grey nor white in it
-                up, down = ~grey * w, ~white * w
+            # A query's own partial cells are neither grey nor white in it.
+            partial, up, down = with_union(lc.partial, lc), ~grey * w, ~white * w
             to_s = to_s + np.where(partial, np.minimum(s, t + down), 0)
             to_t = to_t + np.where(partial, np.minimum(t, s + up), 0)
             subtree.append((partial, up, down, s, t))
         if lc.level < h.height:
             s, t = levels[lc.level + 1].gather(to_s), levels[lc.level + 1].gather(to_t)
     # ROOT -> SINK puts ROOT on S at cost inf, so a finite cut has ROOT on T.
-    cut = to_t.sum(axis=(-2, -1)).reshape(-1)  # per row
+    cut = to_t.sum(axis=(-2, -1))  # per row
     if (cut[:n] >= inf).any():  # some query alone has no finite cut, so the merged one has none
         flags = [(union(lc.grey, lc), union(lc.white, lc), union(lc.partial, lc), w >= inf)
                  for lc, w in zip(levels, weights)]
@@ -555,7 +553,7 @@ def _array_plan(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
             if lc.level:
                 src_above, snk_above = lc.spread(src), lc.spread(snk)
         # A side costs lost arcs * inf + finite arcs; the network's lost arc costs U + 1.
-        root_s = inf + int(to_s.sum(axis=(-2, -1)).reshape(-1)[-1])
+        root_s = inf + int(to_s.sum(axis=(-2, -1))[-1])
         lost_arcs, finite = divmod(min(int(cut[-1]), root_s), inf)
         _check_feasible(lost_arcs * (budget + 1) + finite, budget, blocking)
 
@@ -575,15 +573,13 @@ def _array_plan(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
             lc = levels[k]
             side = lc.grey | (lc.partial & row(on_s[k])) if k else lc.grey
             turn = lc.in_tree & (side != row(above[k]))
-            out.append((lc, (turn & side).reshape((n,) + turn.shape[-2:]),
-                        (turn & ~side).reshape((n,) + turn.shape[-2:])))
+            out.append((lc, turn & side, turn & ~side))
         return out
 
-    # The merged row is the union's, or the one query's. A finite cut
-    # crosses each cell's arcs at most once, and every crossing arc is some
-    # query's term, so the merged retrieval set has the cut's size.
-    merged = (lambda a: a) if n == 1 else (lambda a: a[-1:])
-    picks, cut_size, from_combined = turns(merged), int(cut[-1]), True
+    # The merged row is the last: the union's, or the one query's. A finite
+    # cut crosses each cell's arcs at most once, and every crossing arc is
+    # some query's term, so the merged retrieval set has the cut's size.
+    picks, cut_size, from_combined = turns(lambda a: a[-1:]), int(cut[-1]), True
     if n > 1:
         alone = turns(lambda a: a[:n])
         alone_size = sum(int((plus | minus).any(axis=0).sum()) for _, plus, minus in alone)

@@ -5,10 +5,10 @@ rightwards (columns) and y growing downwards (rows). Corner points of regions
 live on the lattice of cell boundaries, so a w*h grid has (w+1)*(h+1) lattice
 points.
 
-A region is a boolean mask over its bounding rectangle plus a summed-area
-table of that mask, so counting its locations inside any rectangle, its
-size, its bounds and its sum over the readings are lookups or one masked
-sum; the explicit set of locations is built only when asked for.
+A region is a boolean mask over its bounding rectangle, so its size, its
+bounds, its count inside any rectangle and its sum over the readings are
+lookups or one pass over the mask; the explicit set of locations is built
+only when asked for.
 """
 
 from __future__ import annotations
@@ -140,16 +140,14 @@ class GridValues:
 
 class RectilinearRegion:
     """A set of grid locations, held as a boolean mask over its bounding
-    rectangle plus a summed-area table of that mask.
+    rectangle.
 
-    The table gives the number of locations inside any rectangle from four
-    lookups (Crow, "Summed-area tables for texture mapping", SIGGRAPH 1984).
     `RectilinearRegion(cells)` converts an explicit set of (x, y) locations
     once; `cells` gives the set back, built on first use. Equality and hash
     follow the locations, however the region was built.
     """
 
-    __slots__ = ("x0", "y0", "mask", "_sat", "_cells", "_hash")
+    __slots__ = ("x0", "y0", "mask", "_cells", "_hash")
 
     def __init__(self, cells: Iterable[Coord] = frozenset()):
         cells = frozenset(cells)
@@ -184,10 +182,7 @@ class RectilinearRegion:
     def _init(self, x0: int, y0: int, mask: np.ndarray) -> None:
         mask = mask.copy() if mask.flags.writeable else mask
         mask.setflags(write=False)
-        sat = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
-        np.cumsum(mask, axis=0, out=sat[1:, 1:])
-        np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
-        self.x0, self.y0, self.mask, self._sat = x0, y0, mask, sat
+        self.x0, self.y0, self.mask = x0, y0, mask
         self._hash = None
 
     @classmethod
@@ -228,17 +223,16 @@ class RectilinearRegion:
         return self.mask.size > 0
 
     def __len__(self) -> int:
-        return int(self._sat[-1, -1])
+        return int(np.count_nonzero(self.mask))
 
     def count_in(self, rect: Rect) -> int:
-        """Number of the region's locations inside `rect`, by four lookups."""
-        h, w = self.mask.shape
-        x0, y0 = max(rect.x0 - self.x0, 0), max(rect.y0 - self.y0, 0)
-        x1, y1 = min(rect.x1 + 1 - self.x0, w), min(rect.y1 + 1 - self.y0, h)
-        if x0 >= x1 or y0 >= y1:
+        """Number of the region's locations inside `rect`."""
+        x0, y0 = rect.x0 - self.x0, rect.y0 - self.y0
+        x1, y1 = rect.x1 + 1 - self.x0, rect.y1 + 1 - self.y0
+        if x1 <= 0 or y1 <= 0:  # wholly left of or above the mask
             return 0
-        sat = self._sat
-        return int(sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0])
+        # Conditionals, not max(): the oracles call this once per cell.
+        return int(np.count_nonzero(self.mask[y0 if y0 > 0 else 0:y1, x0 if x0 > 0 else 0:x1]))
 
     def contains(self, p: Coord) -> bool:
         x, y = p[0] - self.x0, p[1] - self.y0

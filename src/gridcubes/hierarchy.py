@@ -15,12 +15,12 @@ areas from it. `cell_prefix` is the one in-cell 2-D prefix routine.
 The summaries of one level form one array in block layout, built from the
 level below by a zero-pad, a reshape and a sum; Cell objects are made only
 when a caller asks for them. `level_colors` colors a whole level against a
-region, or a batch of regions on one shared window, at once, by block sums
-of the region masks; it is the one coloring the planners, division,
+sequence of regions on one shared window at once, by block sums of the
+region masks; it is the one coloring the planners, division,
 recovery and rendering read. `color_tree` returns a
 `HierarchyTree` that builds its nodes only when they are first read, each
-cell colored by four lookups in the region's summed-area table: an
-independent oracle for the tests.
+cell colored by counting the region's mask inside it: an independent
+oracle for the tests.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -62,6 +62,8 @@ class HierarchyConfig:
 
     def side(self, level: int) -> int:
         """Side length of a level-k cell in grid units (level 0 -> 1)."""
+        if not 0 <= level < len(self._sides):
+            raise BoundsError(f"level {level} outside the cube's levels 0..{self.height}")
         return self._sides[level]
 
     def junction_level(self, p: Coord) -> int:
@@ -184,6 +186,8 @@ class CubeHierarchy:
 
     def level_array(self, level: int) -> np.ndarray:
         """Summaries of the level-k cells in block layout (level 0: readings)."""
+        if not 0 <= level <= len(self._arrays):
+            raise BoundsError(f"level {level} outside the cube's levels 0..{self.height}")
         return self.values.array if level == 0 else self._arrays[level - 1]
 
     def prefix_array(self, level: int) -> np.ndarray:
@@ -191,6 +195,8 @@ class CubeHierarchy:
         restarted at every level-k cell, laid out as `level_array(k - 1)`."""
         prefix = self._prefixes.get(level)
         if prefix is None:
+            if not 1 <= level <= self.height:
+                raise BoundsError(f"level {level} outside the prefix levels 1..{self.height}")
             prefix = cell_prefix(self.level_array(level - 1), self.config.fanouts[level - 1])
             prefix.setflags(write=False)
             self._prefixes[level] = prefix
@@ -352,8 +358,8 @@ class LevelColors:
     """One level of the pruned colored trees of one or several regions, as
     boolean arrays.
 
-    Entry [..., j, i] is the level-k cell in block row j0 + j and block
-    column i0 + i; a batch of regions puts a query axis first. `core` is the
+    Entry [q, j, i] is the level-k cell in block row j0 + j and block
+    column i0 + i, colored against region q. `core` is the
     block of cells meeting the regions' bounding boxes, so every partial
     cell lies in it. Below the top, the arrays hold the children of the next
     level's core; at the top, every top cell, as the root's children.
@@ -387,16 +393,15 @@ class LevelColors:
         return out
 
 
-def level_colors(h: CubeHierarchy,
-                 regions: RectilinearRegion | Sequence[RectilinearRegion]
+def level_colors(h: CubeHierarchy, regions: Sequence[RectilinearRegion]
                  ) -> tuple[LevelColors, ...]:
     """The trees `color_tree` builds, as arrays per level, level 0 first;
     none when every region is empty.
 
-    Several regions are colored on one shared window, the union of their
-    bounding boxes, and their arrays get a leading query axis; an empty
-    region's tree has no cell, so its `in_tree` is all False. One region
-    gives its arrays without that axis.
+    The regions are colored on one shared window, the union of their
+    bounding boxes, and their arrays have a leading query axis, also for
+    one region; an empty region's tree has no cell, so its `in_tree` is all
+    False.
 
     The regions' counts in each cell are block sums of the masks at level
     1, and of the counts of the level below above it, taken with the same
@@ -404,8 +409,7 @@ def level_colors(h: CubeHierarchy,
     window. A cell is grey when its count is its area, white when it is 0,
     and partial otherwise.
     """
-    single = isinstance(regions, RectilinearRegion)
-    batch = (regions,) if single else tuple(regions)
+    batch = tuple(regions)
     if not all(region.within(h.dims) for region in batch):
         raise BoundsError("region extends outside the grid")
     filled = [region for region in batch if region]
@@ -413,7 +417,6 @@ def level_colors(h: CubeHierarchy,
         return ()
     config = h.config
     top = config.height
-    lead = () if single else (len(batch),)  # the query axis
     x0, y0 = min(r.x0 for r in filled), min(r.y0 for r in filled)
     x1 = max(r.x0 + r.mask.shape[1] for r in filled) - 1
     y1 = max(r.y0 + r.mask.shape[0] for r in filled) - 1
@@ -437,27 +440,24 @@ def level_colors(h: CubeHierarchy,
             i0, i1, j0, j1 = 0, cols_top - 1, 0, rows_top - 1
         core = (slice(cj0 - j0, cj1 - j0 + 1), slice(ci0 - i0, ci1 - i0 + 1))
         windows.append((i0, j0, core))
-        shape = lead + (j1 - j0 + 1, i1 - i0 + 1)
+        shape = (len(batch), j1 - j0 + 1, i1 - i0 + 1)  # a query axis first
         if level == 0:  # locations, each in a region or not
             counts = np.zeros(shape, dtype=bool)
-            if single:  # its bounding box is the core
-                counts[core] = regions.mask
-            else:
-                for layer, region in zip(counts, batch):
-                    if region:
-                        rows, cols = region.mask.shape
-                        layer[region.y0 - j0:region.y0 - j0 + rows,
-                              region.x0 - i0:region.x0 - i0 + cols] = region.mask
+            for layer, region in zip(counts, batch):
+                if region:
+                    rows, cols = region.mask.shape
+                    layer[region.y0 - j0:region.y0 - j0 + rows,
+                          region.x0 - i0:region.x0 - i0 + cols] = region.mask
             exists = np.outer(np.arange(j0, j1 + 1) < h.dims.height,
-                              np.arange(i0, i1 + 1) < h.dims.width)
+                              np.arange(i0, i1 + 1) < h.dims.width)[None]
             colors.append((counts, exists & ~counts, np.zeros(shape, dtype=bool), exists))
             continue
         below, counts = counts, np.zeros(shape, dtype=np.int64)
         f = config.fanouts[level - 1]
         counts[(..., *core)] = below.reshape(
-            lead + (cj1 - cj0 + 1, f, ci1 - ci0 + 1, f)).sum(axis=(-3, -1))
+            (len(batch), cj1 - cj0 + 1, f, ci1 - ci0 + 1, f)).sum(axis=(2, 4))
         area = np.outer(extents(j0, j1, level, h.dims.height),
-                        extents(i0, i1, level, h.dims.width))
+                        extents(i0, i1, level, h.dims.width))[None]
         exists = area > 0
         colors.append((exists & (counts == area), exists & (counts == 0),
                        (counts > 0) & (counts < area), exists))
@@ -468,9 +468,7 @@ def level_colors(h: CubeHierarchy,
         grey, white, partial, exists = colors[level]
         if parent is not None:
             in_tree = exists & parent.spread(parent.partial)
-        elif single:  # the root's children
-            in_tree = exists
-        else:  # an empty region's tree has no cell
+        else:  # the root's children; an empty region's tree has no cell
             in_tree = exists & np.array([bool(region) for region in batch])[:, None, None]
         parent = LevelColors(level, config.fanouts[level - 1] if level else 1,
                              *windows[level], grey, white, partial, in_tree)

@@ -329,8 +329,8 @@ def ps_query_plan(ps: PrefixSumCube, region: RectilinearRegion) -> QueryPlan:
     """
     if not region:
         raise ValidationError("cannot plan an empty region")
-    levels = [(lc, lc.grey.tolist(), lc.partial.tolist())
-              for lc in level_colors(ps.hierarchy, region)]
+    levels = [(lc, lc.grey[0].tolist(), lc.partial[0].tolist())
+              for lc in level_colors(ps.hierarchy, [region])]
     top, grey, partial = levels[-1]
     terms = [t for j, row in enumerate(grey) for i in range(len(row))
              if grey[j][i] or partial[j][i]

@@ -17,12 +17,13 @@ Schema (version 1):
     }
 
 Values are row-major with y as the outer index, matching the top-left origin.
-Every number is a JSON integer (a `true` among integer values reads as 1).
+Every number is a JSON integer (a `true` among the readings reads as 1).
 Failure SPECs are `node:x,y` or `cell:LEVEL:x,y` with (x, y) in the cell.
 """
 
 from __future__ import annotations
 
+import array
 import json
 from dataclasses import dataclass, field
 
@@ -161,12 +162,9 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
                     _int(_require(grid, "height", "grid"), "grid height"))
     try:
         if "values" in grid:
-            # Floats, strings and readings beyond int64 give no integer dtype.
-            readings = np.asarray(grid["values"])
-            if readings.dtype.kind != "i":
-                raise ValueError(f"readings must be int64 integers, not {readings.dtype}")
-            if readings.ndim != 1:
-                raise ValueError("readings must be a flat row-major list")
+            # An int64 buffer refuses floats, strings, None, nested lists and
+            # readings beyond int64 by type; a `true` reads as 1.
+            readings = np.frombuffer(array.array("q", grid["values"]), dtype=np.int64)
             values = GridValues.from_flat(dims, readings)
         elif "random" in grid:
             spec = _object(grid["random"], "random")
@@ -178,7 +176,7 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
             values = GridValues.random(dims, seed, low, high)
         else:
             raise ScenarioError("grid needs 'values' or 'random'", kind="validation")
-    except ValueError as e:
+    except (TypeError, OverflowError, ValueError) as e:
         raise ScenarioError(f"bad grid values: {e}") from None
 
     hier = _require(raw, "hierarchy", "scenario")

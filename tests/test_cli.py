@@ -4,6 +4,7 @@ import shlex
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from gridcubes.cli import build_parser, main
@@ -363,6 +364,7 @@ def _malformed(**changes):
     _malformed(grid={"width": 4, "height": 4, "values": [1.5, 2.7, True, "4"] * 4}),
     _malformed(grid={"width": 4, "height": 4, "values": [1.5] + list(range(15))}),
     _malformed(grid={"width": 4, "height": 4, "values": ["4"] + list(range(15))}),
+    _malformed(grid={"width": 4, "height": 4, "values": [None] + list(range(15))}),
     _malformed(grid={"width": 4, "height": 4, "values": [2 ** 63] + list(range(15))}),
     _malformed(grid={"width": 4, "height": 4, "values": [2 ** 64] + list(range(15))}),
     _malformed(grid={"width": 4, "height": 4, "random": {"seed": 1, "low": 5, "high": 2}}),
@@ -380,7 +382,7 @@ def _malformed(**changes):
         "string-values", "list-name", "list-query-member", "fail-not-list", "alias-not-string",
         "region-named-twice", "query-named-like-region", "query-named-twice",
         "failure-named-twice", "float-width", "numeric-string-width", "float-fanout",
-        "mixed-values", "float-value", "numeric-string-value", "value-above-int64",
+        "mixed-values", "float-value", "numeric-string-value", "null-value", "value-above-int64",
         "value-above-uint64", "random-low-above-high", "random-high-above-int64",
         "negative-seed", "float-seed", "unsupported-schema", "no-values-or-random",
         "bad-mode", "boolean-schema", "nested-values", "string-redundant"])
@@ -390,6 +392,13 @@ def test_malformed_scenario_exits_4(tmp_path, capsys, scenario):
     code, _, err = run(capsys, "plan", "--scenario", str(path), "--region", "R")
     assert code == 4
     assert err.startswith("error: ")
+
+
+def test_boolean_readings_load_as_integers(tmp_path):
+    path = tmp_path / "ones.json"
+    path.write_text(json.dumps(_malformed(grid={"width": 4, "height": 4, "values": [True] * 16})))
+    values = load_scenario(str(path)).values.array
+    assert values.dtype == np.int64 and values.tolist() == [[1] * 4] * 4
 
 
 # Every option of the command line, with a sample value (None for a flag).

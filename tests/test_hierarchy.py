@@ -102,6 +102,20 @@ def test_cells_at_junctions():
     assert h.cells_at((1, 1)) == []
 
 
+def test_a_level_off_the_cube_is_a_bounds_error():
+    config = HierarchyConfig(GridDims(8, 8), (2, 2, 2))
+    h = build_hierarchy(ones(8, 8), config)
+    for level in (-1, 4):
+        with pytest.raises(BoundsError):
+            cell_of(config, level, (3, 3))
+        with pytest.raises(BoundsError):
+            h.level_array(level)
+    for level in (0, 4):
+        with pytest.raises(BoundsError):
+            h.prefix_array(level)
+    assert cell_of(config, 3, (3, 3)) == Cell(3, Rect(0, 0, 7, 7))
+
+
 @pytest.mark.parametrize("width,height,fanouts", [
     (11, 7, (2, 3)), (13, 10, (1, 2, 2)), (9, 9, (3, 3)), (5, 8, (2, 2, 2, 2))])
 def test_cells_at_matches_scan_of_every_level(width, height, fanouts):
@@ -200,28 +214,66 @@ def coloring_cases(draw):
          for (x0, y0), (x1, y1) in corners], dims)
 
 
+def flagged_cells(h, lc, flags):
+    """The cells of `lc`'s level flagged in a 2-D array laid out as its own."""
+    js, is_ = np.nonzero(flags)
+    return set(h.config.indexed_cells(lc.level, (is_ + lc.i0).tolist(), (js + lc.j0).tolist()))
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(coloring_cases())
 def test_level_colors_match_the_colored_tree(case):
     # The planners read level_colors; the node tree is the oracle.
     h, region = case
     tree = color_tree(h, region)
-    levels = level_colors(h, region)
+    levels = level_colors(h, [region])
     assert [lc.level for lc in levels] == (list(range(h.height + 1)) if region else [])
     nodes = [n for n in tree.nodes() if not n.is_root]
     for lc in levels:
-
-        def cells(flags):
-            js, is_ = np.nonzero(flags)
-            return set(h.config.indexed_cells(lc.level, (is_ + lc.i0).tolist(),
-                                              (js + lc.j0).tolist()))
-
-        assert cells(lc.in_tree) == {n.cell for n in nodes if n.cell.level == lc.level}
+        assert flagged_cells(h, lc, lc.in_tree[0]) == {
+            n.cell for n in nodes if n.cell.level == lc.level}
         for color, flags in ((Color.GREY, lc.grey), (Color.WHITE, lc.white),
                              (Color.PARTIAL, lc.partial)):
-            assert cells(flags & lc.in_tree) == {
+            assert flagged_cells(h, lc, flags[0] & lc.in_tree[0]) == {
                 c for c in tree.cells_by_color(color) if c.level == lc.level}
     assert len(nodes) == sum(np.count_nonzero(lc.in_tree) for lc in levels)
+
+
+@st.composite
+def batch_cases(draw):
+    """A cube over a grid of 1-24 per side and 1-3 regions, each empty or
+    1-2 rectangles of at most 5x5 anywhere on it, so often far apart."""
+    width, height = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    fanouts = draw(st.sampled_from([(1, 2, 2), (3, 2), (2, 3), (4, 2)]))
+    dims = GridDims(width, height)
+    h = build_hierarchy(ones(width, height), HierarchyConfig(dims, fanouts))
+    regions = []
+    for _ in range(draw(st.integers(1, 3))):
+        rects = []
+        if draw(st.sampled_from(["empty", "rectangles", "rectangles"])) == "rectangles":
+            for _ in range(draw(st.integers(1, 2))):
+                x0, y0 = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+                rects.append(((x0, y0), (draw(st.integers(x0, min(x0 + 4, width - 1))),
+                                         draw(st.integers(y0, min(y0 + 4, height - 1))))))
+        regions.append(region_from_rectangles(rects, dims))
+    return h, regions
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(batch_cases())
+def test_batch_colors_match_each_region_colored_alone(case):
+    # Each row of a batch, on the shared window, is that region's own tree.
+    h, regions = case
+    batch = level_colors(h, regions)
+    assert len(batch) == (h.height + 1 if any(regions) else 0)
+    for q, region in enumerate(regions):
+        alone = level_colors(h, [region])
+        for lc in batch:
+            own = alone[lc.level] if alone else None
+            for name in ("in_tree", "grey", "white", "partial"):
+                got = flagged_cells(h, lc, getattr(lc, name)[q] & lc.in_tree[q])
+                assert got == (flagged_cells(h, own, getattr(own, name)[0] & own.in_tree[0])
+                               if own else set())
 
 
 def eager_levels(dims, fanouts):

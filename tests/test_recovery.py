@@ -76,6 +76,13 @@ def test_recover_node_needs_alive_square():
         recover_node(drop(states, *dead), (1, 1), 1, cfg)
 
 
+def test_recover_node_refuses_a_level_off_the_cube():
+    cfg = HierarchyConfig(GridDims(8, 8), (2, 2, 2))
+    states, _ = run_construction(GridValues.random(GridDims(8, 8), seed=1), cfg, mode="ps")
+    with pytest.raises(BoundsError):
+        recover_node(drop(states, (3, 3)), (3, 3), 5, cfg)
+
+
 def test_junction_standard_distance():
     vals = GridValues.from_rows([[1] * 6] * 6)
     cfg = HierarchyConfig(GridDims(6, 6), (3, 2))
