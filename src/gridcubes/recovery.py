@@ -10,8 +10,10 @@ sum against alive siblings.
 
 Query recovery reads one dead mask (`FailureSet.dead`), and the planner the
 lost masks that `flow.lost_points` samples from it. Each 4-connected dead
-component meeting the query is grown level by level until readable cells
-enclose it; every sum is a masked sum. If the enclosure is larger than
+component meeting the query is visited once and grown level by level until
+readable cells enclose it; every sum is a masked sum, and one `enclosed`
+mask, with the enclosure cells' sums beside it, takes out what earlier
+components' enclosures already counted. If the enclosure is larger than
 requested, the answer falls back to a uniformity estimate that scales the
 recovered sum by the requested/recovered area ratio, taken over the smallest
 recoverable enclosure. Queries untouched by failures plan exactly as usual.
@@ -27,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InfeasibleError, RecoveryError, ValidationError
+from .errors import BoundsError, InfeasibleError, RecoveryError, ValidationError
 # FailureSet, lost_points and failed_datapoints live in flow; this re-exports them.
 from .flow import FailureSet, _array_plan, failed_datapoints, lost_points  # noqa: F401
 from .grid import Coord, RectilinearRegion
@@ -199,6 +201,7 @@ def _parent_block(config: HierarchyConfig, cell: Cell, slots, escalate):
         upper = escalate(parent)
         if upper is not None:
             value, used = _linear_block_solve(b_of, child_of, cols, rows, target)
+            used = [pos for pos in used if pos != corner]  # upper's reads, not the corner's
     return value, [junctions[j * cols + i] for i, j in used], upper or Reconstruction(None, (), 0)
 
 
@@ -354,49 +357,55 @@ def recover_region(h: CubeHierarchy, failures: FailureSet, query: RectilinearReg
                    lost: tuple[np.ndarray, ...] | None = None) -> RecoveryResult:
     """Answer a query across failures, exactly when possible.
 
-    Each 4-connected component of the dead mask meeting the query is grown
-    level by level until a readable enclosure is found: the level-1 cells
-    holding its dead locations in the query, then their parents, since every
-    enclosure cell holds a dead location. Its sum is the enclosing cells'
-    values minus the alive remainder and the dead sums of earlier portions
-    it takes in. An enclosure larger than the requested part yields a
-    uniformity estimate scaled by the area ratio. `lost` is
-    lost_points(h, failures) when the caller has it already. ValidationError
-    for lost data points: recovery rebuilds dead nodes and areas only.
+    Each 4-connected dead component meeting the query is visited once: its
+    locations outside earlier enclosures grow level by level into readable
+    enclosure cells. Their sum is the cells' values minus the earlier
+    enclosures inside and the alive readings outside those, one masked sum
+    each. An enclosure larger than the requested part gives a uniformity
+    estimate scaled by the area ratio. `lost` is lost_points(h, failures)
+    when the caller has it. ValidationError for lost data points (recovery
+    rebuilds dead nodes and areas only); BoundsError for a query off the grid.
     """
     if failures.points:
         raise ValidationError("recovery takes dead nodes and areas, not lost data points")
+    if not query.within(h.dims):
+        raise BoundsError("region extends outside the grid")
     dead = failures.dead(h.dims)
+    lost = lost_points(h, failures) if lost is None else lost
     in_query = np.zeros(dead.shape, dtype=bool)
     in_query[query.y0:, query.x0:][:query.mask.shape[0], :query.mask.shape[1]] = query.mask
     # Every grey cell of an all-alive region has its junction in it, so its
     # summary is readable and the cut reading the maximal grey cells is finite.
-    plan = _array_plan(h, (RectilinearRegion.from_mask(0, 0, in_query & ~dead),),
-                       lost_points(h, failures) if lost is None else lost)[0][0]
+    plan = _array_plan(h, (RectilinearRegion.from_mask(0, 0, in_query & ~dead),), lost)[0][0]
     total, reads = plan.value, plan.size
     q_dead = in_query & dead
     requested = _locations(q_dead)
-    ys, xs = np.nonzero(q_dead)  # row-major, so the first pending one seeds each portion
+    ys, xs = np.nonzero(q_dead)  # row-major, so the first not enclosed seeds each portion
     labels = _components(dead)[ys, xs]
-    pending = np.ones(len(ys), dtype=bool)
-    recovered = np.zeros(dead.shape, dtype=bool)
-    done: set[Cell] = set()  # maximal cells of the portions recovered so far
+    members = np.argsort(labels, kind="stable")  # each component's locations, row-major
+    enclosed = np.zeros(dead.shape, dtype=bool)  # every enclosure cell's locations so far
+    earlier = np.zeros(dead.shape, dtype=h.values.array.dtype)  # their sums, at top-left
     readable: dict[Cell, int | None] = {}
-    any_estimate = False
-    while pending.any():
-        portion = pending & (labels == labels[pending.argmax()])
+    for y, x, label in zip(ys.tolist(), xs.tolist(), labels.tolist()):
+        if enclosed[y, x]:
+            continue
+        portion = members[np.searchsorted(labels, label, sorter=members):
+                          np.searchsorted(labels, label, "right", members)]
+        portion = portion[~enclosed[ys[portion], xs[portion]]]
         cols, rows = xs[portion], ys[portion]  # level-0 block indices
         for level in range(1, h.height + 1):
             f, width = h.config.fanouts[level - 1], h.level_array(level).shape[1]
-            blocks = np.flatnonzero(np.bincount(rows // f * width + cols // f))
-            rows, cols = np.divmod(blocks, width)
-            cells = h.config.indexed_cells(level, cols.tolist(), rows.tolist())
+            blocks = rows // f * width + cols // f
+            lo = blocks.min()  # counts over the portion's span of block rows only
+            rows, cols = np.divmod(np.flatnonzero(np.bincount(blocks - lo)) + lo, width)
+            solve = lost[level][rows, cols]  # a cell with an alive junction reads 1
+            cells = h.config.indexed_cells(level, cols[solve].tolist(), rows[solve].tolist())
             cell_reads = [_cell_readable(h, c, dead, readable) for c in cells]
             if None not in cell_reads:
                 break
         else:
             return RecoveryResult(RecoveryKind.UNRECOVERABLE, None,
-                                  _locations(recovered), requested, reads)
+                                  _locations(enclosed & dead), requested, reads)
         # The cells' locations, on the window of their blocks clipped to the grid.
         side = h.config.side(level)
         x0, y0 = cols.min() * side, rows.min() * side
@@ -404,30 +413,26 @@ def recover_region(h: CubeHierarchy, failures: FailureSet, query: RectilinearReg
         covered[rows - rows.min(), cols - cols.min()] = True
         covered = covered.repeat(side, 0).repeat(side, 1)[:h.dims.height - y0, :h.dims.width - x0]
         window = np.s_[y0:y0 + covered.shape[0], x0:x0 + covered.shape[1]]
-        alive_inside = covered & ~dead[window]
-        value = sum(h.value(c) for c in cells) - h.values.array[window][alive_inside].sum().item()
-        reads += sum(cell_reads) + int(alive_inside.sum())
-        # Every cell holds a location no earlier portion recovered, so it is
-        # never inside an earlier portion's cell: the overlap is made of
-        # whole earlier cells, whose dead sums were counted already.
-        taken = set(zip(cols.tolist(), rows.tolist()))
-        inside = {e for e in done if (e.bounds.x0 // side, e.bounds.y0 // side) in taken}
-        for e in inside:
-            b = np.s_[e.bounds.y0:e.bounds.y1 + 1, e.bounds.x0:e.bounds.x1 + 1]
-            value -= h.value(e) - h.values.array[b][~dead[b]].sum().item()
-        done = (done - inside) | set(cells)
-        new = covered & dead[window] & ~recovered[window]
+        # Every cell holds a location no earlier portion enclosed, so an earlier
+        # enclosure cell that meets it lies wholly inside it and leaves whole.
+        sums = h.level_array(level)[rows, cols]
+        fresh, alive = covered & ~enclosed[window], covered & ~dead[window]
+        value = (sums.sum() - earlier[window][covered].sum()
+                 - h.values.array[window][fresh & alive].sum()).item()
+        reads += sum(cell_reads) + len(rows) - len(cell_reads) + int(alive.sum())
+        new = fresh & dead[window]
         count, wanted = int(new.sum()), int((new & in_query[window]).sum())
-        if wanted < count:
-            any_estimate, value = True, Fraction(value) * Fraction(wanted, count)
-        total += value
-        recovered[window] |= new
-        pending &= ~recovered[ys, xs]
+        total += value if wanted == count else Fraction(value) * Fraction(wanted, count)
+        earlier[window][covered] = 0
+        earlier[rows * side, cols * side] = sums
+        enclosed[window] |= covered
 
     if isinstance(total, Fraction) and total.denominator == 1:
         total = int(total)
-    kind = RecoveryKind.ESTIMATE if any_estimate else RecoveryKind.EXACT
-    return RecoveryResult(kind, total, _locations(recovered), requested, reads)
+    # Every dead query location is recovered; any other recovered one makes an estimate.
+    recovered = _locations(enclosed & dead)
+    kind = RecoveryKind.EXACT if recovered == requested else RecoveryKind.ESTIMATE
+    return RecoveryResult(kind, total, recovered, requested, reads)
 
 
 def plan_with_failures(h: CubeHierarchy, failures: FailureSet,

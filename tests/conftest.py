@@ -6,18 +6,24 @@ cover minimality by branch-and-bound exact cover, cut properties by
 enumerating all partial-node assignments, prefix-sum plan costs by exact
 cover over every single-cell piece, prefix-sum answers by direct
 summation, the construction wave by applying the per-node protocol rule
-node by node, and the lost summaries location by location.
+node by node, the lost summaries location by location, and region recovery
+by the portion loop that tracks recovered locations and earlier cells as
+explicit sets.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from gridcubes import recovery
+from gridcubes.flow import _array_plan, lost_points
 from gridcubes.grid import GridDims, GridValues, Rect, RectilinearRegion
-from gridcubes.hierarchy import CubeHierarchy, HierarchyConfig, cell_of
+from gridcubes.hierarchy import Cell, CubeHierarchy, HierarchyConfig, cell_of
 from gridcubes.protocol import NodeState, Packet, node_step
 
 
@@ -125,6 +131,71 @@ def reference_failed_datapoints(h: CubeHierarchy, failures) -> set:
         out.add(cell_of(h.config, 0, p))
         out.update(h.cells_at(p))
     return out
+
+
+def mask_locations(mask) -> frozenset:
+    ys, xs = np.nonzero(mask)
+    return frozenset(zip(xs.tolist(), ys.tolist()))
+
+
+def reference_recover_region(h: CubeHierarchy, failures, query: RectilinearRegion):
+    """`recovery.recover_region` as a portion loop over explicit bookkeeping:
+    a `pending` array of the dead query locations, rescanned for the next
+    portion's seed and its component, a `recovered` mask, and the set of
+    earlier enclosure cells, each one looked up to take its dead sum out."""
+    dead = failures.dead(h.dims)
+    in_query = np.zeros(dead.shape, dtype=bool)
+    in_query[query.y0:, query.x0:][:query.mask.shape[0], :query.mask.shape[1]] = query.mask
+    plan = _array_plan(h, (RectilinearRegion.from_mask(0, 0, in_query & ~dead),),
+                       lost_points(h, failures))[0][0]
+    total, reads = plan.value, plan.size
+    q_dead = in_query & dead
+    requested = mask_locations(q_dead)
+    ys, xs = np.nonzero(q_dead)
+    labels = recovery._components(dead)[ys, xs]
+    pending = np.ones(len(ys), dtype=bool)
+    recovered = np.zeros(dead.shape, dtype=bool)
+    done: set[Cell] = set()
+    readable: dict = {}
+    any_estimate = False
+    while pending.any():
+        portion = pending & (labels == labels[pending.argmax()])
+        cols, rows = xs[portion], ys[portion]
+        for level in range(1, h.height + 1):
+            f, width = h.config.fanouts[level - 1], h.level_array(level).shape[1]
+            rows, cols = np.divmod(np.flatnonzero(np.bincount(rows // f * width + cols // f)),
+                                   width)
+            cells = h.config.indexed_cells(level, cols.tolist(), rows.tolist())
+            cell_reads = [recovery._cell_readable(h, c, dead, readable) for c in cells]
+            if None not in cell_reads:
+                break
+        else:
+            return recovery.RecoveryResult(recovery.RecoveryKind.UNRECOVERABLE, None,
+                                           mask_locations(recovered),
+                                           requested, reads)
+        covered = np.zeros(dead.shape, dtype=bool)
+        for c in cells:
+            covered[c.bounds.y0:c.bounds.y1 + 1, c.bounds.x0:c.bounds.x1 + 1] = True
+        alive_inside = covered & ~dead
+        value = sum(h.value(c) for c in cells) - h.values.array[alive_inside].sum().item()
+        reads += sum(cell_reads) + int(alive_inside.sum())
+        inside = {e for e in done if covered[e.bounds.y0, e.bounds.x0]}
+        for e in inside:
+            b = np.s_[e.bounds.y0:e.bounds.y1 + 1, e.bounds.x0:e.bounds.x1 + 1]
+            value -= h.value(e) - h.values.array[b][~dead[b]].sum().item()
+        done = (done - inside) | set(cells)
+        new = covered & dead & ~recovered
+        count, wanted = int(new.sum()), int((new & in_query).sum())
+        if wanted < count:
+            any_estimate, value = True, Fraction(value) * Fraction(wanted, count)
+        total += value
+        recovered |= new
+        pending &= ~recovered[ys, xs]
+    if isinstance(total, Fraction) and total.denominator == 1:
+        total = int(total)
+    kind = recovery.RecoveryKind.ESTIMATE if any_estimate else recovery.RecoveryKind.EXACT
+    return recovery.RecoveryResult(kind, total, mask_locations(recovered),
+                                   requested, reads)
 
 
 def naive_region_sum(values: GridValues, region: RectilinearRegion) -> int:

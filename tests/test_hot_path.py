@@ -7,7 +7,8 @@ or without failed cells, and a division are planned on level arrays,
 without building a colored tree or a flow network, and failures reach the
 planner as per-level lost-point masks, without a Cell per lost summary,
 also from `plan --fail node:`. Recovery reads the dead mask, never the
-dead area location by location.
+dead area location by location, and takes the enclosure cells' sums from
+the level arrays, building no Cell for a cell whose junction is alive.
 A batch is planned on the same arrays, without a flow network, with or
 without lost cells and also when its merged cut is infeasible. No
 subcommand and no planner builds a colored tree node or a flow network,
@@ -28,7 +29,8 @@ from gridcubes.division import greedy_divide
 from gridcubes.flow import (FlowGraph, QueryPlan, _build_graph, _solve, build_flow_graph,
                             combined_plan, mark_failed, min_cut_plan, plan_query)
 from gridcubes.grid import GridDims, GridValues, Rect, RectilinearRegion, region_from_rectangles
-from gridcubes.hierarchy import Cell, HierarchyConfig, TreeNode, build_hierarchy, color_tree
+from gridcubes.hierarchy import (Cell, CubeHierarchy, HierarchyConfig, TreeNode, build_hierarchy,
+                                 color_tree)
 from gridcubes.prefix import PrefixSumCube, build_ps_cube, ps_query_plan, rectilinear_sum
 from gridcubes.recovery import (FailureSet, RecoveryKind, RecoveryResult, failed_datapoints,
                                 plan_with_failures, recover_region)
@@ -271,6 +273,23 @@ def test_recovery_reads_the_dead_mask_not_location_sets(monkeypatch):
     assert recovered.kind is RecoveryKind.EXACT and recovered.value == naive_region_sum(vals, a)
     assert isinstance(through_plan, RecoveryResult)
     assert through_plan.requested_area == a.cells & crossing.area()
+
+
+def refuse_value(self, cell):
+    raise AssertionError("a summary was read through CubeHierarchy.value")
+
+
+def test_recovery_reads_enclosure_sums_from_the_level_arrays(monkeypatch):
+    # The dead node's enclosure is L1(0,0), whose junction (1, 1) is alive.
+    dims = GridDims(8, 8)
+    vals = GridValues.random(dims, seed=1)
+    h = build_hierarchy(vals, HierarchyConfig(dims, (2, 2, 2)))
+    query = region_from_rectangles([((0, 0), (1, 1))], dims)
+    monkeypatch.setattr(CubeHierarchy, "value", refuse_value)
+    res = recover_region(h, FailureSet.of(nodes=[(0, 0)]), query)
+    monkeypatch.undo()
+    assert res.kind is RecoveryKind.EXACT and res.value == naive_region_sum(vals, query)
+    assert res.recovered_area == res.requested_area == {(0, 0)}
 
 
 def test_corner_expansion_at_1024_never_builds_cell_sets(monkeypatch):

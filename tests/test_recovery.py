@@ -7,14 +7,15 @@ from hypothesis import given, settings, strategies as st
 from gridcubes import recovery
 from gridcubes.errors import BoundsError, RecoveryError, ValidationError
 from gridcubes.flow import QueryPlan
-from gridcubes.grid import GridDims, GridValues, Rect, region_from_rectangles
-from gridcubes.hierarchy import HierarchyConfig, build_hierarchy
+from gridcubes.grid import (GridDims, GridValues, Rect, RectilinearRegion,
+                            region_from_rectangles)
+from gridcubes.hierarchy import HierarchyConfig, build_hierarchy, cell_of
 from gridcubes.protocol import run_construction
 from gridcubes.recovery import (FailureSet, RecoveryKind, _linear_block_solve,
                                 failed_datapoints, plan_with_failures,
                                 recover_junction, recover_node, recover_region)
 
-from conftest import naive_region_sum, reference_failed_datapoints
+from conftest import naive_region_sum, reference_failed_datapoints, reference_recover_region
 
 MATRIX = [[12, 8, 10, 6],
           [20, 7, 11, 4],
@@ -140,6 +141,23 @@ def test_junction_escalation_with_dead_donor(scale):
     assert rec.value == h.value(h.cell_at(1, (0, 0)))
     assert isinstance(rec.value, (int, Fraction))
     assert (5, 5) in rec.donors
+
+
+@pytest.mark.parametrize("level, dropped, donors, reads", [
+    (1, [(3, 3), (7, 3)], [(1, 1), (1, 3), (3, 1), (3, 7), (7, 7)], 10),
+    (0, [(3, 3)], [(1, 1), (1, 3), (2, 2), (2, 3), (3, 1), (3, 2), (3, 7), (7, 3), (7, 7)], 16)])
+def test_an_escalated_corner_is_not_read(level, dropped, donors, reads):
+    # (3, 3) is the corner junction of its parent cell, whose total comes
+    # from the level above: the corner's prefix is that total, not a read.
+    dims = GridDims(8, 8)
+    vals = GridValues.random(dims, seed=1)
+    cfg = HierarchyConfig(dims, (2, 2, 2))
+    states, _ = run_construction(vals, cfg, mode="ps")
+    alive = drop(states, *dropped)
+    rec = recover_junction(alive, (3, 3), level, cfg)
+    assert rec.value == build_hierarchy(vals, cfg).value(cell_of(cfg, level, (3, 3)))
+    assert sorted(rec.donors) == donors and rec.reads == reads
+    assert all(d in alive for d in rec.donors)
 
 
 def _rank(rows) -> int:
@@ -352,22 +370,51 @@ def test_overlapping_portions_keep_the_estimate_bound():
     assert_recovery_bounds(vals, FailureSet.of(nodes=dead), query, res)
 
 
+def test_nested_earlier_enclosures_are_taken_out_once():
+    # (2, 1) is enclosed by L1(2,0), (3, 3) by L2(0,0), which takes L1(2,0)
+    # in, and (3, 7) by L3(0,0), which takes L2(0,0) in: the readings of
+    # L1(2,0) are inside both later enclosures and must leave only once.
+    dims = GridDims(16, 16)
+    vals = GridValues.random(dims, seed=1, low=1, high=9)
+    h = build_hierarchy(vals, HierarchyConfig(dims, (2, 2, 2, 2)))
+    failures = FailureSet.of(nodes=[(1, 3), (2, 1), (3, 3), (3, 7), (7, 7)])
+    query = region_from_rectangles([((2, 1), (3, 7))], dims)
+    res = recover_region(h, failures, query)
+    assert res == reference_recover_region(h, failures, query)
+    assert res.kind is RecoveryKind.ESTIMATE and res.value == Fraction(145, 2)
+    assert_recovery_bounds(vals, failures, query, res)
+
+
 @st.composite
-def failure_cases(draw):
-    width, height = draw(st.integers(4, 12)), draw(st.integers(4, 12))
+def failure_cases(draw, dense=False):
+    """A cube with up to 10 dead nodes and 2 dead areas, and a one-rectangle
+    query. `dense` draws up to 24 a side, fanouts up to (2, 2, 2, 2), up to a
+    quarter of the nodes dead, up to 3 dead areas, a second rectangle half
+    the time and quarter readings, which add exactly, in a fifth of the cubes."""
+    side = st.integers(4, 24 if dense else 12)
+    width, height = draw(side), draw(side)
     # With F1 = 1 the level-1 cells are single locations.
-    fanouts = draw(st.sampled_from([(2, 2), (2, 2, 2), (3, 2), (2, 3), (1, 2, 2)]))
+    fanouts = draw(st.sampled_from([(2, 2), (2, 2, 2), (3, 2), (2, 3), (1, 2, 2)]
+                                   + ([(2, 2, 2, 2), (3, 3)] if dense else [])))
     dims = GridDims(width, height)
     vals = GridValues.random(dims, seed=draw(st.integers(0, 2**16)), low=1, high=9)
+    if dense and draw(st.integers(0, 4)) == 0:
+        vals = GridValues(dims, vals.array * 0.25)
     h = build_hierarchy(vals, HierarchyConfig(dims, fanouts))
     point = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
-    nodes = draw(st.lists(point, max_size=10))
+    if dense:
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        ys, xs = np.nonzero(rng.random((height, width)) < draw(st.sampled_from([0.05, 0.1, 0.25])))
+        nodes = list(zip(xs.tolist(), ys.tolist()))
+    else:
+        nodes = draw(st.lists(point, max_size=10))
     cells = [h.cell_at(draw(st.integers(1, h.height - 1)), p)
-             for p in draw(st.lists(point, max_size=2))]
-    (x0, y0), (x1, y1) = draw(point), draw(point)
-    query = region_from_rectangles(
-        [((min(x0, x1), min(y0, y1)), (max(x0, x1), max(y0, y1)))], dims)
-    return vals, h, FailureSet.of(nodes=nodes, cells=cells), query
+             for p in draw(st.lists(point, max_size=3 if dense else 2))]
+    rects = []
+    for _ in range(draw(st.integers(1, 2)) if dense else 1):
+        (x0, y0), (x1, y1) = draw(point), draw(point)
+        rects.append(((min(x0, x1), min(y0, y1)), (max(x0, x1), max(y0, y1))))
+    return vals, h, FailureSet.of(nodes=nodes, cells=cells), region_from_rectangles(rects, dims)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -381,6 +428,15 @@ def test_answers_under_failure_match_naive_summation(case):
         assert res.value == naive_region_sum(vals, query)
     else:
         assert_recovery_bounds(vals, failures, query, res)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(failure_cases(dense=True))
+def test_recover_region_matches_the_portion_loop(case):
+    # All five fields: kind, value, both areas and the points read. Dense
+    # failures make later enclosures take in earlier ones.
+    _, h, failures, query = case
+    assert recover_region(h, failures, query) == reference_recover_region(h, failures, query)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -400,6 +456,18 @@ def test_recover_region_refuses_lost_data_points():
     with pytest.raises(ValidationError):
         recover_region(h, FailureSet.of(failures.nodes, failures.cells,
                                         [h.cell_at(1, (0, 0))]), query)
+
+
+@pytest.mark.parametrize("query, node", [
+    (RectilinearRegion({(-1, 2)}), (7, 2)),
+    (region_from_rectangles([((6, 6), (9, 9))]), (7, 7))], ids=["negative-origin", "past-the-edge"])
+def test_recover_region_refuses_a_query_off_the_grid(query, node):
+    dims = GridDims(8, 8)
+    h = build_hierarchy(GridValues.random(dims, seed=1), HierarchyConfig(dims, (2, 2, 2)))
+    failures = FailureSet.of(nodes=[node])
+    for answer in (plan_with_failures, recover_region):
+        with pytest.raises(BoundsError, match="region extends outside the grid"):
+            answer(h, failures, query)
 
 
 def reference_component(dead: set, seed) -> frozenset:
