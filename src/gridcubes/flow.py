@@ -53,8 +53,11 @@ parent on S goes to S iff s < t + (not W)*w, and under a parent on T iff
 s + (not G)*w < t: `_solve`'s tie rule. A query's side of a cell is S where
 the cell is grey in it, T where white, and the merged side where partial.
 Its plan terms are its tree cells whose side differs from their parent's, +
-for a cell on S under a parent on T and - the other way round; the retrieval
-set is the union of all terms, and the cut size the DP's value.
+for a cell on S under a parent on T and - the other way round: `_cut` gives
+them as masks per level, with the cut size (the DP's value), and
+`_array_plan` makes their Cells, signs and values. The retrieval set is the
+union of all terms. A caller that needs only the size, as recovery does for
+a query's alive part, takes it from `_cut` and builds no Cell.
 
 The DP runs on a stack of rows: each query's own flags and, for a batch,
 their union. The per-query rows are `combined_plan`'s fallback. Sharing a
@@ -64,7 +67,7 @@ merged cut although every query has one; the smaller retrieval set wins,
 ties going to the merged cut.
 
 When some query alone has no finite cut, the merged network has none, and
-`_array_plan` raises its InfeasibleError, from the union flags too. Its unit
+`_cut` raises its InfeasibleError, from the union flags too. Its unit
 budget U counts [G or P] + [W or P] over the union tree's cells, and its min
 cut is min(cost with ROOT on T, U + 1 + cost with ROOT on S), a lost point
 costing U + 1. Its blocking cells are the lost cells whose + arc runs from a
@@ -486,18 +489,18 @@ def failed_datapoints(h: CubeHierarchy, failures: FailureSet) -> set[Cell]:
     return out
 
 
-def _array_plan(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
-                lost: Sequence[np.ndarray] | None
-                ) -> tuple[tuple[QueryPlan, ...], list[Cell], int, bool]:
-    """The fields of `combined_plan`'s result for `regions`, by the
-    per-level rules of the module docstring, with the retrieval set as a
-    list of the terms' cells. When the lost points (`lost_points`' masks,
-    or None) leave some region alone no finite cut, the merged network's
-    InfeasibleError is raised."""
+def _cut(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
+         lost: Sequence[np.ndarray] | None):
+    """The cut `_array_plan` reads its plans from, by the per-level rules
+    of the module docstring: per level from the top, its LevelColors and
+    each query's cells on S under a parent on T (+) and on T under S (-),
+    then the cut size and whether the merged cut won. When the lost points
+    (`lost_points`' masks, or None) leave some region alone no finite cut,
+    the merged network's InfeasibleError is raised."""
     n = len(regions)
     levels = level_colors(h, regions)
     if not levels:
-        return (QueryPlan((), 0),) * n, [], 0, True
+        return [], 0, True
     # A finite cut reads each cell at most once, so this exceeds every one.
     inf = 1 + sum(h.level_array(k).size for k in range(h.height + 1))
 
@@ -585,9 +588,19 @@ def _array_plan(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
         alone_size = sum(int((plus | minus).any(axis=0).sum()) for _, plus, minus in alone)
         if cut_size > alone_size:  # also when the merged cut is infinite
             picks, cut_size, from_combined = alone, alone_size, False
+    return picks, cut_size, from_combined
 
+
+def _array_plan(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
+                lost: Sequence[np.ndarray] | None
+                ) -> tuple[tuple[QueryPlan, ...], list[Cell], int, bool]:
+    """The fields of `combined_plan`'s result for `regions`, read off
+    `_cut`: each query's terms are its + cells, then its - cells, level by
+    level from the top, with their Cells and values, and the retrieval set
+    is a list of the terms' cells. `_cut`'s InfeasibleError passes through."""
+    picks, cut_size, from_combined = _cut(h, regions, lost)
     plans, retrieval = [], []
-    for q in range(n):
+    for q in range(len(regions)):
         terms, values = [], []
         for sign in (1, -1):
             for lc, plus, minus in picks:

@@ -13,14 +13,16 @@ are made with it by `block_cells` (for `cell_of`, `cells_of`, `children` and
 areas from it. `cell_prefix` is the one in-cell 2-D prefix routine.
 
 The summaries of one level form one array in block layout, built from the
-level below by a zero-pad, a reshape and a sum; Cell objects are made only
-when a caller asks for them. `level_colors` colors a whole level against a
-sequence of regions on one shared window at once, by block sums of the
-region masks; it is the one coloring the planners, division,
-recovery and rendering read. `color_tree` returns a
+level below by a sum over its blocks: `_blocks` is the one view of a level
+as f x f blocks, zero-padded only where the grid edge clips a block, read by
+`build_hierarchy`, `cell_prefix`, `level_colors` and `LevelColors.gather`.
+Cell objects are made only when a caller asks for them. `level_colors`
+colors a whole level against a sequence of regions on one shared window at
+once, by block sums of the region masks; it is the one coloring the
+planners, division, recovery and rendering read. `color_tree` returns a
 `HierarchyTree` that builds its nodes only when they are first read, each
-cell colored by counting the region's mask inside it: an independent
-oracle for the tests.
+cell colored by counting the region's mask inside it: an independent oracle
+for the tests.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -149,13 +151,21 @@ def cell_of(config: HierarchyConfig, level: int, p: Coord) -> Cell:
     return config.block_cells(level, range(i, i + 1), range(j, j + 1))[0]
 
 
+def _blocks(a: np.ndarray, f: int) -> np.ndarray:
+    """`a` as f x f blocks over its last two axes, shaped (..., block rows,
+    f, block columns, f), zero-padded (a copy) only when the grid edge
+    clips the last block row or column."""
+    *lead, rows, cols = a.shape
+    if rows % f or cols % f:
+        a = np.pad(a, ((0, 0),) * len(lead) + ((0, -rows % f), (0, -cols % f)))
+    return a.reshape(*lead, a.shape[-2] // f, f, a.shape[-1] // f, f)
+
+
 def cell_prefix(a: np.ndarray, side: int) -> np.ndarray:
     """2-D prefix sums of a, restarted in every side x side block, in
     numpy's cumsum dtype (narrow integers add in the platform integer)."""
-    rows, cols = a.shape
-    padded = np.pad(a, ((0, -rows % side), (0, -cols % side)))
-    blocks = padded.reshape(padded.shape[0] // side, side, padded.shape[1] // side, side)
-    return blocks.cumsum(axis=1).cumsum(axis=3).reshape(padded.shape)[:rows, :cols]
+    blocks = _blocks(a, side).cumsum(axis=1).cumsum(axis=3)
+    return blocks.reshape(blocks.shape[0] * side, -1)[:a.shape[0], :a.shape[1]]
 
 
 class CubeHierarchy:
@@ -260,17 +270,14 @@ class CubeHierarchy:
 
 
 def build_hierarchy(values: GridValues, config: HierarchyConfig) -> CubeHierarchy:
-    """Each level's array is the previous one zero-padded to a multiple of
-    the fanout, reshaped into fanout x fanout blocks and summed."""
+    """Each level's array is the previous one's fanout x fanout blocks
+    (`_blocks`), summed."""
     if config.dims != values.dims:
         raise ConfigError(f"config dims {config.dims} do not match values dims {values.dims}")
     arrays = []
     arr = values.array
     for f in config.fanouts:
-        rows, cols = arr.shape
-        arr = np.pad(arr, ((0, -rows % f), (0, -cols % f)))
-        arr = arr.reshape(arr.shape[0] // f, f, arr.shape[1] // f, f).sum(
-            axis=(1, 3), dtype=values.array.dtype)
+        arr = _blocks(arr, f).sum(axis=(1, 3), dtype=values.array.dtype)
         arr.setflags(write=False)
         arrays.append(arr)
     return CubeHierarchy(values, config, tuple(arrays))
@@ -385,11 +392,8 @@ class LevelColors:
     def gather(self, a: np.ndarray) -> np.ndarray:
         """The sums of the level below's array `a` over each core cell's
         children, laid out as this level's arrays (0 off the core)."""
-        lead = a.shape[:-2]
-        out = np.zeros(lead + self.grey.shape[-2:], dtype=np.int64)
-        rows, cols = out[(..., *self.core)].shape[-2:]
-        out[(..., *self.core)] = a.reshape(lead + (rows, self.fanout, cols, self.fanout)).sum(
-            axis=(-3, -1))
+        out = np.zeros(a.shape[:-2] + self.grey.shape[-2:], dtype=np.int64)
+        out[(..., *self.core)] = _blocks(a, self.fanout).sum(axis=(-3, -1))
         return out
 
 
@@ -405,7 +409,7 @@ def level_colors(h: CubeHierarchy, regions: Sequence[RectilinearRegion]
 
     The regions' counts in each cell are block sums of the masks at level
     1, and of the counts of the level below above it, taken with the same
-    pad plus reshape-sum as `build_hierarchy` over the cells meeting the
+    block view and sum as `build_hierarchy` over the cells meeting the
     window. A cell is grey when its count is its area, white when it is 0,
     and partial otherwise.
     """
@@ -454,8 +458,7 @@ def level_colors(h: CubeHierarchy, regions: Sequence[RectilinearRegion]
             continue
         below, counts = counts, np.zeros(shape, dtype=np.int64)
         f = config.fanouts[level - 1]
-        counts[(..., *core)] = below.reshape(
-            (len(batch), cj1 - cj0 + 1, f, ci1 - ci0 + 1, f)).sum(axis=(2, 4))
+        counts[(..., *core)] = _blocks(below, f).sum(axis=(-3, -1))
         area = np.outer(extents(j0, j1, level, h.dims.height),
                         extents(i0, i1, level, h.dims.width))[None]
         exists = area > 0

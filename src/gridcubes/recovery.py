@@ -9,7 +9,9 @@ three immediate neighbours in redundant mode, or by complementing the parent
 sum against alive siblings.
 
 Query recovery reads one dead mask (`FailureSet.dead`), and the planner the
-lost masks that `flow.lost_points` samples from it. Each 4-connected dead
+lost masks that `flow.lost_points` samples from it. The query's alive part
+is no plan: its reads are the size of `flow._cut`'s cut and its value one
+masked sum of its readings, so no Cell is built for it. Each 4-connected dead
 component meeting the query is visited once and grown level by level until
 readable cells enclose it; every sum is a masked sum, and one `enclosed`
 mask, with the enclosure cells' sums beside it, takes out what earlier
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import BoundsError, InfeasibleError, RecoveryError, ValidationError
 # FailureSet, lost_points and failed_datapoints live in flow; this re-exports them.
-from .flow import FailureSet, _array_plan, failed_datapoints, lost_points  # noqa: F401
+from .flow import FailureSet, _array_plan, _cut, failed_datapoints, lost_points  # noqa: F401
 from .grid import Coord, RectilinearRegion
 from .hierarchy import Cell, CubeHierarchy, HierarchyConfig, cell_of
 from .protocol import NodeState, node_slot
@@ -357,6 +359,8 @@ def recover_region(h: CubeHierarchy, failures: FailureSet, query: RectilinearReg
                    lost: tuple[np.ndarray, ...] | None = None) -> RecoveryResult:
     """Answer a query across failures, exactly when possible.
 
+    The alive part of the query reads the cut size of its own plan, which
+    is not built, and adds its readings' masked sum (the int 0 when empty).
     Each 4-connected dead component meeting the query is visited once: its
     locations outside earlier enclosures grow level by level into readable
     enclosure cells. Their sum is the cells' values minus the earlier
@@ -376,8 +380,10 @@ def recover_region(h: CubeHierarchy, failures: FailureSet, query: RectilinearReg
     in_query[query.y0:, query.x0:][:query.mask.shape[0], :query.mask.shape[1]] = query.mask
     # Every grey cell of an all-alive region has its junction in it, so its
     # summary is readable and the cut reading the maximal grey cells is finite.
-    plan = _array_plan(h, (RectilinearRegion.from_mask(0, 0, in_query & ~dead),), lost)[0][0]
-    total, reads = plan.value, plan.size
+    # An empty part adds the int 0, as an empty plan did, so a Fraction stays one.
+    alive = in_query & ~dead
+    reads = _cut(h, (RectilinearRegion.from_mask(0, 0, alive),), lost)[1]
+    total = h.values.array[alive].sum().item() if alive.any() else 0
     q_dead = in_query & dead
     requested = _locations(q_dead)
     ys, xs = np.nonzero(q_dead)  # row-major, so the first not enclosed seeds each portion

@@ -8,7 +8,8 @@ without building a colored tree or a flow network, and failures reach the
 planner as per-level lost-point masks, without a Cell per lost summary,
 also from `plan --fail node:`. Recovery reads the dead mask, never the
 dead area location by location, and takes the enclosure cells' sums from
-the level arrays, building no Cell for a cell whose junction is alive.
+the level arrays, building no Cell for a cell whose junction is alive nor
+for the query's alive part, which it reads as a cut size and one masked sum.
 A batch is planned on the same arrays, without a flow network, with or
 without lost cells and also when its merged cut is infeasible. No
 subcommand and no planner builds a colored tree node or a flow network,
@@ -279,17 +280,31 @@ def refuse_value(self, cell):
     raise AssertionError("a summary was read through CubeHierarchy.value")
 
 
-def test_recovery_reads_enclosure_sums_from_the_level_arrays(monkeypatch):
-    # The dead node's enclosure is L1(0,0), whose junction (1, 1) is alive.
+@pytest.mark.parametrize("nodes, corner", [([(0, 0)], (1, 1)), ([(2, 2), (4, 5)], (5, 6))])
+def test_recovery_reads_enclosure_sums_from_the_level_arrays(monkeypatch, nodes, corner):
+    # Each dead node's enclosure is an L1 cell whose junction is alive, so
+    # recovery builds no Cell: neither for the enclosures nor for the alive
+    # part of the query, whose reads are a cut size and whose value one
+    # masked sum.
     dims = GridDims(8, 8)
     vals = GridValues.random(dims, seed=1)
     h = build_hierarchy(vals, HierarchyConfig(dims, (2, 2, 2)))
-    query = region_from_rectangles([((0, 0), (1, 1))], dims)
+    query = region_from_rectangles([((0, 0), corner)], dims)
+    failures = FailureSet.of(nodes=nodes)
+    made = []
+    init = Cell.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
     monkeypatch.setattr(CubeHierarchy, "value", refuse_value)
-    res = recover_region(h, FailureSet.of(nodes=[(0, 0)]), query)
+    monkeypatch.setattr(Cell, "__init__", counting)
+    res = recover_region(h, failures, query)
     monkeypatch.undo()
+    assert made == []
     assert res.kind is RecoveryKind.EXACT and res.value == naive_region_sum(vals, query)
-    assert res.recovered_area == res.requested_area == {(0, 0)}
+    assert res.recovered_area == res.requested_area == set(nodes)
 
 
 def test_corner_expansion_at_1024_never_builds_cell_sets(monkeypatch):

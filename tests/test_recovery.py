@@ -439,6 +439,41 @@ def test_recover_region_matches_the_portion_loop(case):
     assert recover_region(h, failures, query) == reference_recover_region(h, failures, query)
 
 
+def assert_close_to_the_portion_loop(h, failures, query):
+    """recover_region against the portion loop on float readings: the alive
+    part's value is one masked sum of the readings here and the plan's cube
+    sums there, so the values may differ in the last bits, but nothing else."""
+    res, ref = recover_region(h, failures, query), reference_recover_region(h, failures, query)
+    assert (res.kind, res.points_read, type(res.value)) == (ref.kind, ref.points_read,
+                                                            type(ref.value))
+    assert (res.recovered_area, res.requested_area) == (ref.recovered_area, ref.requested_area)
+    assert res.value == (None if ref.value is None else pytest.approx(ref.value, rel=1e-12))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(failure_cases(dense=True), st.integers(0, 2**16))
+def test_recover_region_matches_the_portion_loop_on_float_readings(case, seed):
+    # The dense cases' cube, over non-dyadic float readings in [0, 100).
+    _, h, failures, query = case
+    readings = np.random.default_rng(seed).random((h.dims.height, h.dims.width)) * 100
+    h = build_hierarchy(GridValues(h.dims, readings), h.config)
+    assert_close_to_the_portion_loop(h, failures, query)
+
+
+def test_a_fully_dead_query_on_float_readings_keeps_its_fraction():
+    # The query's alive part is empty and adds the int 0, as an empty plan
+    # does: a float 0.0 would turn the estimate's Fraction into a float.
+    dims = GridDims(8, 8)
+    vals = GridValues(dims, np.random.default_rng(0).random((8, 8)) * 100)
+    h = build_hierarchy(vals, HierarchyConfig(dims, (2, 2, 2)))
+    failures = FailureSet.of(nodes=[(2, 2), (3, 2), (2, 3), (3, 3)])
+    query = region_from_rectangles([((2, 2), (3, 2))], dims)
+    assert_close_to_the_portion_loop(h, failures, query)
+    res = recover_region(h, failures, query)
+    assert res.kind is RecoveryKind.ESTIMATE
+    assert res.value == Fraction(4750672004639691, 35184372088832)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(failure_cases(), st.data())
 def test_failed_datapoints_match_the_per_location_rule(case, data):
