@@ -37,6 +37,9 @@ Failures are one `FailureSet`: dead nodes, dead areas and lost data points
 `lost_points` is the one code that turns it into the planner's lost masks,
 one bool array per level; `combined_plan` takes a FailureSet or Cells, read
 as lost points, and `mark_failed` checks its cells through `lost_points` too.
+A FailureSet builds its dead mask once per grid size and its lost masks
+once per cube layout, read-only, so every query and recovery that shares it
+reads the same arrays.
 
 Every plan is made by `_array_plan` on the level arrays of
 `hierarchy.level_colors`, with no tree node and no network: the rules of
@@ -66,11 +69,14 @@ more than planning each query alone, or, under failures, leaves no finite
 merged cut although every query has one; the smaller retrieval set wins,
 ties going to the merged cut.
 
-When some query alone has no finite cut, the merged network has none, and
-`_cut` raises its InfeasibleError, from the union flags too. Its unit
-budget U counts [G or P] + [W or P] over the union tree's cells, and its min
-cut is min(cost with ROOT on T, U + 1 + cost with ROOT on S), a lost point
-costing U + 1. Its blocking cells are the lost cells whose + arc runs from a
+When some query alone has no finite cut, the merged network has none.
+`_cut` then stops and reports it, with nothing built: `plan_with_failures`
+recovers the query instead, and only `combined_plan` (so `plan_query` and
+the CLI's `plan`) builds the merged network's InfeasibleError, from the
+union flags too (`_infeasible`). Its unit budget U counts [G or P] +
+[W or P] over the union tree's cells, and its min cut is min(cost with ROOT
+on T, U + 1 + cost with ROOT on S), a lost point costing U + 1. Its
+blocking cells are the lost cells whose + arc runs from a
 source-reached tail (grey, or a source-reached partial replica) to a
 sink-reaching parent, or whose - arc runs from a source-reached parent to a
 sink-reaching head (white, or a sink-reaching partial replica). A partial
@@ -84,14 +90,16 @@ demos and the benchmark's check build it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import BoundsError, InfeasibleError, ValidationError
 from .grid import Coord, GridDims, RectilinearRegion
-from .hierarchy import Cell, Color, CubeHierarchy, HierarchyTree, color_tree, level_colors
+from .hierarchy import (Cell, Color, CubeHierarchy, HierarchyConfig, HierarchyTree, color_tree,
+                        level_colors)
 
 SOURCE = 0
 SINK = 1
@@ -394,10 +402,9 @@ def _extract_plans(g: FlowGraph, h: CubeHierarchy, reach: set[int],
     return plans, retrieval
 
 
-def _check_feasible(value: int, budget: int, blocking: Iterable[Cell]):
-    if value > budget:
-        raise InfeasibleError(f"no finite cut: min cut {value} exceeds unit budget {budget}",
-                              blocking=blocking)
+def _infeasible_error(value: int, budget: int, blocking: Iterable[Cell]) -> InfeasibleError:
+    return InfeasibleError(f"no finite cut: min cut {value} exceeds unit budget {budget}",
+                           blocking=blocking)
 
 
 def min_cut_plan(g: FlowGraph, h: CubeHierarchy) -> QueryPlan:
@@ -407,7 +414,8 @@ def min_cut_plan(g: FlowGraph, h: CubeHierarchy) -> QueryPlan:
     source-to-sink path of infinite arcs.
     """
     value, reach, crossing, blocking = _solve(g)
-    _check_feasible(value, g.unit_count, blocking)
+    if value > g.unit_count:
+        raise _infeasible_error(value, g.unit_count, blocking)
     plans, _ = _extract_plans(g, h, reach, crossing)
     return plans[0]
 
@@ -424,11 +432,17 @@ class CombinedResult:
 class FailureSet:
     """Failures of three kinds: dead nodes, dead areas (`cells`, every node
     of each cell) and lost data points (`points`, cells whose summary is
-    unreadable while their nodes stay alive)."""
+    unreadable while their nodes stay alive).
+
+    Its dead mask, per grid size, and its lost masks, per cube layout, are
+    built on first use and kept read-only, so every query and recovery that
+    shares the FailureSet reads the same arrays."""
 
     nodes: frozenset[Coord] = frozenset()
     cells: frozenset[Cell] = frozenset()
     points: frozenset[Cell] = frozenset()
+    _dead: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _lost: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, nodes=(), cells=(), points=()) -> "FailureSet":
@@ -439,8 +453,15 @@ class FailureSet:
         return frozenset(self.nodes).union(*(c.bounds.coords() for c in self.cells))
 
     def dead(self, dims: GridDims) -> np.ndarray:
-        """The dead nodes and every location of the dead areas as one mask,
-        indexed [y, x]; BoundsError for a node or area off the grid."""
+        """The dead nodes and every location of the dead areas as one
+        read-only mask, indexed [y, x]; BoundsError for a node or area off
+        the grid."""
+        dead = self._dead.get(dims)
+        if dead is None:
+            dead = self._dead[dims] = self._dead_mask(dims)
+        return dead
+
+    def _dead_mask(self, dims: GridDims) -> np.ndarray:
         dead = np.zeros((dims.height, dims.width), dtype=bool)
         nodes = np.array(list(self.nodes), dtype=np.int64).reshape(-1, 2)
         off = ((nodes < 0) | (nodes >= (dims.width, dims.height))).any(axis=1)
@@ -452,32 +473,46 @@ class FailureSet:
             if not (dims.contains((b.x0, b.y0)) and dims.contains((b.x1, b.y1))):
                 raise BoundsError(f"{c.label()} outside grid {dims}")
             dead[b.y0:b.y1 + 1, b.x0:b.x1 + 1] = True
+        dead.setflags(write=False)
         return dead
+
+    def lost(self, config: HierarchyConfig) -> tuple[np.ndarray, ...]:
+        """`lost_points`' masks for cubes of this layout, read-only."""
+        lost = self._lost.get(config)
+        if lost is None:
+            lost = self._lost[config] = self._lost_masks(config)
+        return lost
+
+    def _lost_masks(self, config: HierarchyConfig) -> tuple[np.ndarray, ...]:
+        dims = config.dims
+        dead = self.dead(dims)
+        lost = [dead.copy() if self.points else dead]
+        for level in range(1, config.height + 1):
+            _, x1s, _, y1s = config.block_edges(level)
+            lost.append(dead[np.ix_(y1s, x1s)])
+        for cell in self.points:
+            b = cell.bounds
+            side = config.side(cell.level) if 0 <= cell.level <= config.height else 0
+            if not side or any(not 0 <= lo < n or lo % side or hi != min(lo + side, n) - 1
+                               for lo, hi, n in ((b.x0, b.x1, dims.width),
+                                                 (b.y0, b.y1, dims.height))):
+                raise BoundsError(f"{cell!r} is not a cell of the cube")
+            lost[cell.level][b.y0 // side, b.x0 // side] = True
+        for mask in lost:
+            mask.setflags(write=False)
+        return tuple(lost)
 
 
 def lost_points(h: CubeHierarchy, failures: FailureSet) -> tuple[np.ndarray, ...] | None:
     """The planner's lost masks: per level k, the unreadable summaries as a
     bool array laid out as `h.level_array(k)`, those whose junction is dead
     (the dead mask at each block's last row and column) and the lost data
-    points. None when nothing failed; BoundsError for a node or area off the
-    grid, or a lost point that is not one of `h`'s cells."""
+    points. They are `failures.lost(h.config)`, built once per layout and
+    read-only. None when nothing failed; BoundsError for a node or area off
+    the grid, or a lost point that is not one of `h`'s cells."""
     if not (failures.nodes or failures.cells or failures.points):
         return None
-    dead = failures.dead(h.dims)
-    lost = [dead]
-    for level in range(1, h.height + 1):
-        rows, cols = h.level_array(level).shape
-        ys = [last for _, last in h.config._spans(level, range(rows), h.dims.height)]
-        xs = [last for _, last in h.config._spans(level, range(cols), h.dims.width)]
-        lost.append(dead[np.ix_(ys, xs)])
-    for cell in failures.points:
-        b = cell.bounds
-        side = h.config.side(cell.level) if 0 <= cell.level <= h.height else 0
-        if not side or any(not 0 <= lo < n or lo % side or hi != min(lo + side, n) - 1 for lo, hi, n
-                           in ((b.x0, b.x1, h.dims.width), (b.y0, b.y1, h.dims.height))):
-            raise BoundsError(f"{cell!r} is not a cell of the cube")
-        lost[cell.level][b.y0 // side, b.x0 // side] = True
-    return tuple(lost)
+    return failures.lost(h.config)
 
 
 def failed_datapoints(h: CubeHierarchy, failures: FailureSet) -> set[Cell]:
@@ -496,7 +531,7 @@ def _cut(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
     each query's cells on S under a parent on T (+) and on T under S (-),
     then the cut size and whether the merged cut won. When the lost points
     (`lost_points`' masks, or None) leave some region alone no finite cut,
-    the merged network's InfeasibleError is raised."""
+    it raises `_NoFiniteCut`, having built no blocking Cell."""
     n = len(regions)
     levels = level_colors(h, regions)
     if not levels:
@@ -539,26 +574,8 @@ def _cut(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
     # ROOT -> SINK puts ROOT on S at cost inf, so a finite cut has ROOT on T.
     cut = to_t.sum(axis=(-2, -1))  # per row
     if (cut[:n] >= inf).any():  # some query alone has no finite cut, so the merged one has none
-        flags = [(union(lc.grey, lc), union(lc.white, lc), union(lc.partial, lc), w >= inf)
-                 for lc, w in zip(levels, weights)]
-        budget = sum(int((g | p).sum() + (wh | p).sum()) for g, wh, p, _ in flags)
-        ups = []  # per level: partial replicas source-reached and sink-reaching from below
-        for lc, (g, wh, p, lo) in zip(levels, flags):
-            ups.append(tuple(p & (lc.gather(a) > 0) for a in arcs) if lc.level else (p, p))
-            # The lost + arcs from a source-reached tail, - arcs to a sink-reaching head.
-            arcs = lo & (g | ups[-1][0]), lo & (wh | ups[-1][1])
-        src_above, snk_above, blocking = arcs[0].any(), True, []  # ROOT -> SINK
-        for lc, (g, wh, p, lo), (src, snk) in reversed(list(zip(levels, flags, ups))):
-            src, snk = src | lo & p & src_above, snk | lo & p & snk_above
-            js, is_ = np.nonzero(lo & ((g | p & src) & snk_above | src_above & (wh | p & snk)))
-            blocking += h.config.indexed_cells(lc.level, (is_ + lc.i0).tolist(),
-                                               (js + lc.j0).tolist())
-            if lc.level:
-                src_above, snk_above = lc.spread(src), lc.spread(snk)
-        # A side costs lost arcs * inf + finite arcs; the network's lost arc costs U + 1.
-        root_s = inf + int(to_s.sum(axis=(-2, -1))[-1])
-        lost_arcs, finite = divmod(min(int(cut[-1]), root_s), inf)
-        _check_feasible(lost_arcs * (budget + 1) + finite, budget, blocking)
+        value = min(int(cut[-1]), inf + int(to_s.sum(axis=(-2, -1))[-1]))
+        raise _NoFiniteCut(lambda: _infeasible(h, levels, weights, inf, value))
 
     on_s = [None] * (h.height + 1)  # per level, each row's partial cells on S
     above = [None] * (h.height + 1)  # per level, each row's parents on S
@@ -591,13 +608,48 @@ def _cut(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
     return picks, cut_size, from_combined
 
 
+class _NoFiniteCut(Exception):
+    """`_cut` found a region with no finite cut alone. `error()` builds the
+    merged network's InfeasibleError, which only a caller that raises it
+    pays for: `combined_plan` does, `plan_with_failures` recovers instead."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+
+def _infeasible(h: CubeHierarchy, levels, weights, inf: int, value: int) -> InfeasibleError:
+    """The merged network's InfeasibleError, read off `_cut`'s LevelColors,
+    point costs and min cut `value` (lost arcs at cost `inf`): its unit
+    budget and blocking cells by the two passes of the module docstring."""
+    flags = [tuple((a & lc.in_tree).any(axis=0) for a in (lc.grey, lc.white, lc.partial))
+             + (w >= inf,) for lc, w in zip(levels, weights)]
+    budget = sum(int((g | p).sum() + (wh | p).sum()) for g, wh, p, _ in flags)
+    ups = []  # per level: partial replicas source-reached and sink-reaching from below
+    for lc, (g, wh, p, lo) in zip(levels, flags):
+        ups.append(tuple(p & (lc.gather(a) > 0) for a in arcs) if lc.level else (p, p))
+        # The lost + arcs from a source-reached tail, - arcs to a sink-reaching head.
+        arcs = lo & (g | ups[-1][0]), lo & (wh | ups[-1][1])
+    src_above, snk_above, blocking = arcs[0].any(), True, []  # ROOT -> SINK
+    for lc, (g, wh, p, lo), (src, snk) in reversed(list(zip(levels, flags, ups))):
+        src, snk = src | lo & p & src_above, snk | lo & p & snk_above
+        js, is_ = np.nonzero(lo & ((g | p & src) & snk_above | src_above & (wh | p & snk)))
+        blocking += h.config.indexed_cells(lc.level, (is_ + lc.i0).tolist(),
+                                           (js + lc.j0).tolist())
+        if lc.level:
+            src_above, snk_above = lc.spread(src), lc.spread(snk)
+    # A side costs lost arcs * inf + finite arcs; the network's lost arc costs U + 1.
+    lost_arcs, finite = divmod(value, inf)
+    return _infeasible_error(lost_arcs * (budget + 1) + finite, budget, blocking)
+
+
 def _array_plan(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
                 lost: Sequence[np.ndarray] | None
                 ) -> tuple[tuple[QueryPlan, ...], list[Cell], int, bool]:
     """The fields of `combined_plan`'s result for `regions`, read off
     `_cut`: each query's terms are its + cells, then its - cells, level by
     level from the top, with their Cells and values, and the retrieval set
-    is a list of the terms' cells. `_cut`'s InfeasibleError passes through."""
+    is a list of the terms' cells. `_cut`'s `_NoFiniteCut` passes through."""
     picks, cut_size, from_combined = _cut(h, regions, lost)
     plans, retrieval = [], []
     for q in range(len(regions)):
@@ -608,10 +660,11 @@ def _array_plan(h: CubeHierarchy, regions: Sequence[RectilinearRegion],
                 cols, rows = (is_ + lc.i0).tolist(), (js + lc.j0).tolist()
                 cells = h.config.indexed_cells(lc.level, cols, rows)
                 retrieval += cells
-                terms += [(c, sign) for c in cells]
-                values += h.level_array(lc.level)[rows, cols].tolist()
-        # Terms come in _extract_plans' order, and are summed in it.
-        plans.append(QueryPlan(tuple(terms), sum(s * v for (_, s), v in zip(terms, values))))
+                terms += zip(cells, repeat(sign))
+                summaries = h.level_array(lc.level)[rows, cols].tolist()
+                values += summaries if sign > 0 else [-v for v in summaries]
+        # Terms come in _extract_plans' order, and are summed in it, signed.
+        plans.append(QueryPlan(tuple(terms), sum(values)))
     return tuple(plans), retrieval, cut_size, from_combined
 
 
@@ -643,6 +696,9 @@ def combined_plan(trees: Sequence[HierarchyTree], h: CubeHierarchy,
         raise ValidationError("every tree must be colored over the hierarchy it is planned on")
     failures = (failed_cells if isinstance(failed_cells, FailureSet)
                 else FailureSet.of(points=failed_cells))
-    plans, retrieval, cut_size, from_combined = _array_plan(
-        h, [tree.region for tree in trees], lost_points(h, failures))
+    try:
+        plans, retrieval, cut_size, from_combined = _array_plan(
+            h, [tree.region for tree in trees], lost_points(h, failures))
+    except _NoFiniteCut as cut:
+        raise cut.error() from None
     return CombinedResult(plans, frozenset(retrieval), cut_size, from_combined)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -43,18 +43,32 @@ class GridDims:
                 yield (x, y)
 
 
-@dataclass(frozen=True)
-class Rect:
-    """Inclusive axis-aligned rectangle of grid cells."""
-
+class _Corners(NamedTuple):
     x0: int
     y0: int
     x1: int
     y1: int
 
-    def __post_init__(self):
-        if self.x0 > self.x1 or self.y0 > self.y1:
-            raise ValidationError(f"inverted rectangle corners: {self}")
+
+class Rect(_Corners):
+    """Inclusive axis-aligned rectangle of grid cells.
+
+    An immutable value: a named tuple of its corners, equal and hashed by
+    them; ValidationError for inverted corners.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x0: int, y0: int, x1: int, y1: int):
+        if x0 > x1 or y0 > y1:
+            raise ValidationError(
+                f"inverted rectangle corners: Rect(x0={x0!r}, y0={y0!r}, x1={x1!r}, y1={y1!r})")
+        return tuple.__new__(cls, (x0, y0, x1, y1))
+
+    @classmethod
+    def _make(cls, iterable) -> "Rect":
+        """Checked as the constructor is, also for `_replace`."""
+        return cls(*iterable)
 
     @property
     def width(self) -> int:

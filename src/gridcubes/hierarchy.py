@@ -7,10 +7,17 @@ tiling. Each cell's summary is stored at its junction, the lower-right corner
 of its bounds. Individual grid locations act as degenerate level-0 cells.
 Each layout decision is written once, here: HierarchyConfig holds the level
 sides, the junction levels of all nodes as one array (`junction_levels`,
-which `junction_level` reads), and the clipped block rule (`_spans`). Cells
-are made with it by `block_cells` (for `cell_of`, `cells_of`, `children` and
-`child_junction`) and `indexed_cells`, and `level_colors` takes its cell
-areas from it. `cell_prefix` is the one in-cell 2-D prefix routine.
+which `junction_level` reads), and the clipped block rule (`_spans`), whose
+block edges per level (`block_edges`) are built once. `level_colors` takes
+its cell areas from the rule.
+
+Cells and their bounds (`grid.Rect`) are immutable value types: named
+tuples, equal and hashed by their fields, so two Cells of the same level
+and bounds are interchangeable, in sets and dicts too. `indexed_cells` is
+the one place that makes them, from the block edges, as the tuples they
+are; `block_cells` (for `cell_of`, `cells_of`, `children` and
+`child_junction`) goes through it. `cell_prefix` is the one in-cell 2-D
+prefix routine.
 
 The summaries of one level form one array in block layout, built from the
 level below by a sum over its blocks: `_blocks` is the one view of a level
@@ -35,7 +42,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import accumulate
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,6 +56,7 @@ class HierarchyConfig:
     fanouts: tuple[int, ...]
     _sides: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _junctions: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _edges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.fanouts:
@@ -99,17 +107,37 @@ class HierarchyConfig:
         side = self._sides[level]
         return [(b * side, min(b * side + side, extent) - 1) for b in blocks]
 
+    def block_edges(self, level: int) -> tuple[list[int], list[int], list[int], list[int]]:
+        """The first and last grid column of every level-k block column, and
+        the first and last row of every block row, by `_spans`; built once
+        per level."""
+        edges = self._edges.get(level)
+        if edges is None:
+            side, width, height = self._sides[level], self.dims.width, self.dims.height
+            cols = self._spans(level, range(-(-width // side)), width)
+            rows = self._spans(level, range(-(-height // side)), height)
+            edges = self._edges[level] = (
+                [first for first, _ in cols], [last for _, last in cols],
+                [first for first, _ in rows], [last for _, last in rows])
+        return edges
+
     def block_cells(self, level: int, cols: range, rows: range) -> list[Cell]:
         """The level-k cells in block columns `cols` and rows `rows`, row-major."""
-        xs = self._spans(level, cols, self.dims.width)
-        ys = self._spans(level, rows, self.dims.height)
-        return [Cell(level, Rect(x0, y0, x1, y1)) for y0, y1 in ys for x0, x1 in xs]
+        return self.indexed_cells(level, [i for _ in rows for i in cols],
+                                  [j for j in rows for _ in cols])
 
     def indexed_cells(self, level: int, cols, rows) -> list[Cell]:
-        """The level-k cells in block column cols[n] and row rows[n], in order."""
-        xs = self._spans(level, cols, self.dims.width)
-        ys = self._spans(level, rows, self.dims.height)
-        return [Cell(level, Rect(x0, y0, x1, y1)) for (x0, x1), (y0, y1) in zip(xs, ys)]
+        """The level-k cells in block column cols[n] and row rows[n], in
+        order: the one place the package makes Cells. Each is made as the
+        tuple it is, from the block edges, without a constructor call per
+        Cell and Rect. BoundsError for a block off the level's blocks."""
+        x0s, x1s, y0s, y1s = self.block_edges(level)
+        if len(cols) and not (0 <= min(cols) and max(cols) < len(x0s)
+                              and 0 <= min(rows) and max(rows) < len(y0s)):
+            raise BoundsError(f"a block index lies off the level-{level} blocks")
+        new = tuple.__new__
+        return [new(Cell, (level, new(Rect, (x0s[i], y0s[j], x1s[i], y1s[j]))))
+                for i, j in zip(cols, rows)]
 
     def child_grid(self, cell: Cell) -> tuple[int, int, int]:
         """(child side length, columns, rows) of a cell's child-block grid;
@@ -125,8 +153,10 @@ class HierarchyConfig:
         return self.block_cells(cell.level - 1, range(i, i + 1), range(j, j + 1))[0].junction
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
+    """A cube cell: an immutable value, equal and hashed by its level and
+    bounds."""
+
     level: int
     bounds: Rect
 

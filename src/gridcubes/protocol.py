@@ -65,7 +65,10 @@ class _GridMapping(Mapping):
         self.dims = dims
 
     def __contains__(self, p) -> bool:
-        return isinstance(p, tuple) and len(p) == 2 and self.dims.contains(p)
+        """Only a pair of integers on the grid is a key: not a pair of
+        floats, nor a Cell, which is a pair too."""
+        return (isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], (int, np.integer))
+                and isinstance(p[1], (int, np.integer)) and self.dims.contains(p))
 
     def __getitem__(self, p: Coord):
         if p not in self:

@@ -31,9 +31,10 @@ from functools import partial
 
 import numpy as np
 
-from .errors import BoundsError, InfeasibleError, RecoveryError, ValidationError
+from .errors import BoundsError, RecoveryError, ValidationError
 # FailureSet, lost_points and failed_datapoints live in flow; this re-exports them.
-from .flow import FailureSet, _array_plan, _cut, failed_datapoints, lost_points  # noqa: F401
+from .flow import (FailureSet, _array_plan, _cut, _NoFiniteCut, failed_datapoints,  # noqa: F401
+                   lost_points)
 from .grid import Coord, RectilinearRegion
 from .hierarchy import Cell, CubeHierarchy, HierarchyConfig, cell_of
 from .protocol import NodeState, node_slot
@@ -355,8 +356,8 @@ def _locations(mask: np.ndarray) -> frozenset[Coord]:
     return frozenset(zip(xs.tolist(), ys.tolist()))
 
 
-def recover_region(h: CubeHierarchy, failures: FailureSet, query: RectilinearRegion,
-                   lost: tuple[np.ndarray, ...] | None = None) -> RecoveryResult:
+def recover_region(h: CubeHierarchy, failures: FailureSet,
+                   query: RectilinearRegion) -> RecoveryResult:
     """Answer a query across failures, exactly when possible.
 
     The alive part of the query reads the cut size of its own plan, which
@@ -366,16 +367,16 @@ def recover_region(h: CubeHierarchy, failures: FailureSet, query: RectilinearReg
     enclosure cells. Their sum is the cells' values minus the earlier
     enclosures inside and the alive readings outside those, one masked sum
     each. An enclosure larger than the requested part gives a uniformity
-    estimate scaled by the area ratio. `lost` is lost_points(h, failures)
-    when the caller has it. ValidationError for lost data points (recovery
-    rebuilds dead nodes and areas only); BoundsError for a query off the grid.
+    estimate scaled by the area ratio. The dead and lost masks are the
+    ones `failures` keeps for every call that shares it. ValidationError for
+    lost data points (recovery rebuilds dead nodes and areas only);
+    BoundsError for a query off the grid.
     """
     if failures.points:
         raise ValidationError("recovery takes dead nodes and areas, not lost data points")
     if not query.within(h.dims):
         raise BoundsError("region extends outside the grid")
-    dead = failures.dead(h.dims)
-    lost = lost_points(h, failures) if lost is None else lost
+    dead, lost = failures.dead(h.dims), lost_points(h, failures)
     in_query = np.zeros(dead.shape, dtype=bool)
     in_query[query.y0:, query.x0:][:query.mask.shape[0], :query.mask.shape[1]] = query.mask
     # Every grey cell of an all-alive region has its junction in it, so its
@@ -448,8 +449,7 @@ def plan_with_failures(h: CubeHierarchy, failures: FailureSet,
     Returns a QueryPlan when a finite cut exists and a RecoveryResult (exact,
     estimated or unrecoverable) otherwise.
     """
-    lost = lost_points(h, failures)
     try:
-        return _array_plan(h, (query,), lost)[0][0]
-    except InfeasibleError:
-        return recover_region(h, failures, query, lost)
+        return _array_plan(h, (query,), lost_points(h, failures))[0][0]
+    except _NoFiniteCut:  # the explanation of no finite cut is not built
+        return recover_region(h, failures, query)

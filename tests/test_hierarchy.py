@@ -1,10 +1,12 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridcubes.errors import BoundsError, ConfigError
+from gridcubes.errors import BoundsError, ConfigError, ValidationError
 from gridcubes.grid import GridDims, GridValues, Rect, RectilinearRegion, region_from_rectangles
 from gridcubes.hierarchy import (Cell, Color, HierarchyConfig, build_hierarchy, cell_of,
                                  color_tree, level_colors)
@@ -355,3 +357,29 @@ def test_grey_leaves_tile_region(rng):
         assert covered == set(region.cells)
         total = sum(h.value(c) for c in tree.cells_by_color(Color.GREY))
         assert total == naive_region_sum(vals, region)
+
+
+def test_cells_and_rects_are_values():
+    config = HierarchyConfig(GridDims(8, 8), (2, 2, 2))
+    made = cell_of(config, 1, (1, 0))
+    cell = Cell(1, Rect(0, 0, 1, 1))
+    assert made == cell == Cell(level=1, bounds=Rect(x0=0, y0=0, x1=1, y1=1))
+    assert hash(made) == hash(cell) and hash(made.bounds) == hash(Rect(0, 0, 1, 1))
+    assert len({made, cell, Cell(1, Rect(0, 0, 1, 1))}) == 1
+    assert cell != Cell(2, Rect(0, 0, 1, 1)) and cell.bounds != Rect(0, 0, 1, 2)
+    assert repr(made) == "Cell(level=1, bounds=Rect(x0=0, y0=0, x1=1, y1=1))"
+    with pytest.raises(ValidationError, match="inverted"):
+        Rect(2, 0, 1, 0)
+    with pytest.raises(ValidationError, match="inverted"):
+        made.bounds._replace(x0=2)
+    with pytest.raises(BoundsError):
+        config.block_cells(1, range(3, 5), range(0, 1))  # block 4 lies past the edge
+    with pytest.raises(AttributeError):
+        made.level = 2
+    with pytest.raises(AttributeError):
+        made.bounds.x0 = 5
+    with pytest.raises(AttributeError):
+        made.extra = 1
+    for copied in (pickle.loads(pickle.dumps(made)), copy.copy(made), copy.deepcopy(made)):
+        assert copied == made and type(copied) is Cell and type(copied.bounds) is Rect
+    assert (made.junction, made.area, made.label()) == ((1, 1), 4, "L1(0,0)")

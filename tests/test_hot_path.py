@@ -10,6 +10,9 @@ also from `plan --fail node:`. Recovery reads the dead mask, never the
 dead area location by location, and takes the enclosure cells' sums from
 the level arrays, building no Cell for a cell whose junction is alive nor
 for the query's alive part, which it reads as a cut size and one masked sum.
+A query that recovery answers because it has no finite cut builds no
+blocking Cell of the planner's explanation, and queries sharing one
+FailureSet build its dead and lost masks once.
 A batch is planned on the same arrays, without a flow network, with or
 without lost cells and also when its merged cut is infeasible. No
 subcommand and no planner builds a colored tree node or a flow network,
@@ -30,13 +33,13 @@ from gridcubes.division import greedy_divide
 from gridcubes.flow import (FlowGraph, QueryPlan, _build_graph, _solve, build_flow_graph,
                             combined_plan, mark_failed, min_cut_plan, plan_query)
 from gridcubes.grid import GridDims, GridValues, Rect, RectilinearRegion, region_from_rectangles
-from gridcubes.hierarchy import (Cell, CubeHierarchy, HierarchyConfig, TreeNode, build_hierarchy,
+from gridcubes.hierarchy import (CubeHierarchy, HierarchyConfig, TreeNode, build_hierarchy,
                                  color_tree)
 from gridcubes.prefix import PrefixSumCube, build_ps_cube, ps_query_plan, rectilinear_sum
 from gridcubes.recovery import (FailureSet, RecoveryKind, RecoveryResult, failed_datapoints,
-                                plan_with_failures, recover_region)
+                                lost_points, plan_with_failures, recover_region)
 
-from conftest import naive_region_sum
+from conftest import naive_region_sum, reference_failed_datapoints
 
 from test_cli import AREA, THREE_LEVEL
 
@@ -218,6 +221,22 @@ def test_failures_reach_the_planner_as_level_masks(monkeypatch):
     assert isinstance(recovered, RecoveryResult) and recovered == direct
 
 
+def count_cells(monkeypatch) -> list:
+    """Every Cell the package makes from now until `monkeypatch.undo()`,
+    counted at `HierarchyConfig.indexed_cells`, the one place that makes
+    them."""
+    made = []
+    make = HierarchyConfig.indexed_cells
+
+    def counting(*args):
+        cells = make(*args)
+        made.extend(cells)
+        return cells
+
+    monkeypatch.setattr(HierarchyConfig, "indexed_cells", counting)
+    return made
+
+
 def test_node_failures_reach_the_planner_without_a_cell_per_lost_summary(
         monkeypatch, capsys, tmp_path):
     dims = GridDims(16, 16)
@@ -230,14 +249,7 @@ def test_node_failures_reach_the_planner_without_a_cell_per_lost_summary(
         "schema": 1, "grid": {"width": 16, "height": 16, "random": {"seed": 9}},
         "hierarchy": {"fanouts": [2, 2, 2]},
         "regions": [{"name": "A", "rects": [[4, 4, 11, 11]]}]}))
-    made = []
-    init = Cell.__init__
-
-    def counting(self, *args, **kwargs):
-        made.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Cell, "__init__", counting)
+    made = count_cells(monkeypatch)
     result = combined_plan([color_tree(h, a)], h, FailureSet.of(nodes=dead))
     direct = len(made)
     assert main(["plan", "--scenario", str(scenario), "--region", "A"]
@@ -250,6 +262,94 @@ def test_node_failures_reach_the_planner_without_a_cell_per_lost_summary(
     assert out.endswith(f"retrieval set: {direct} points\n")
     assert len(failed_datapoints(h, FailureSet.of(nodes=dead))) > 2 * direct
     assert result.plans[0].value == naive_region_sum(vals, a)
+
+
+def refuse_explanation(*args, **kwargs):
+    raise AssertionError("an InfeasibleError was made")
+
+
+def test_infeasible_queries_that_recovery_answers_build_no_blocking_cell(monkeypatch):
+    dims = GridDims(16, 16)
+    vals = GridValues.random(dims, seed=4)
+    h = build_hierarchy(vals, HierarchyConfig(dims, (2, 2, 2)))
+    a = region_from_rectangles([((1, 2), (9, 7)), ((4, 6), (13, 14))], dims)
+    nodes, cells = [(3, 3), (5, 9), (12, 13)], [h.cell_at(2, (8, 4))]
+    with pytest.raises(InfeasibleError) as before:
+        combined_plan([color_tree(h, a)], h, FailureSet.of(nodes, cells))
+    made = count_cells(monkeypatch)
+    direct = recover_region(h, FailureSet.of(nodes, cells), a)
+    by_recovery = len(made)
+    monkeypatch.setattr(InfeasibleError, "__init__", refuse_explanation)
+    result = plan_with_failures(h, FailureSet.of(nodes, cells), a)
+    through_plan = len(made) - by_recovery
+    monkeypatch.undo()
+    # The only Cells made are recovery's own, none of the explanation's.
+    assert through_plan == by_recovery
+    assert isinstance(result, RecoveryResult) and result == direct
+    # The error that is raised keeps its message and blocking cells: the network's.
+    with pytest.raises(InfeasibleError) as after:
+        combined_plan([color_tree(h, a)], h, FailureSet.of(nodes, cells))
+    with pytest.raises(InfeasibleError) as network:
+        min_cut_plan(mark_failed(build_flow_graph(color_tree(h, a)),
+                                 failed_datapoints(h, FailureSet.of(nodes, cells))), h)
+    assert after.value.blocking == before.value.blocking == network.value.blocking
+    assert str(after.value) == str(before.value) == str(network.value)
+    assert before.value.blocking
+
+
+def counting(monkeypatch, cls, name) -> list:
+    """The calls of method `name` of `cls`, counted until `monkeypatch.undo()`."""
+    calls = []
+    method = getattr(cls, name)
+
+    def counted(*args):
+        calls.append(args)
+        return method(*args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_queries_sharing_a_failure_set_build_its_masks_once(monkeypatch):
+    dims = GridDims(16, 16)
+    vals = GridValues.random(dims, seed=4)
+    h = build_hierarchy(vals, HierarchyConfig(dims, (2, 2, 2)))
+    failures = FailureSet.of([(3, 3), (5, 9), (12, 13)], [h.cell_at(2, (8, 4))])
+    queries = [region_from_rectangles([((1, 2), (9, 7)), ((4, 6), (13, 14))], dims),
+               region_from_rectangles([((0, 10), (6, 15))], dims),
+               region_from_rectangles([((8, 0), (15, 5))], dims)]
+    dead_built = counting(monkeypatch, FailureSet, "_dead_mask")
+    lost_built = counting(monkeypatch, FailureSet, "_lost_masks")
+    answers = [plan_with_failures(h, failures, q) for q in queries]
+    monkeypatch.undo()
+    assert len(dead_built) == len(lost_built) == 1
+    assert [isinstance(answer, QueryPlan) for answer in answers] == [False, True, False]
+    assert answers == [plan_with_failures(h, FailureSet.of(failures.nodes, failures.cells), q)
+                       for q in queries]
+    # Every call reads the same read-only arrays.
+    dead, lost = failures.dead(dims), lost_points(h, failures)
+    assert dead is failures.dead(dims) and lost is lost_points(h, failures)
+    assert not any(mask.flags.writeable for mask in (dead, *lost))
+    assert lost[0] is dead
+
+
+def test_one_failure_set_on_two_cube_layouts_gets_separate_masks():
+    dims = GridDims(16, 16)
+    vals = GridValues.random(dims, seed=4)
+    deep = build_hierarchy(vals, HierarchyConfig(dims, (2, 2, 2)))
+    wide = build_hierarchy(vals, HierarchyConfig(dims, (4, 4)))
+    failures = FailureSet.of([(3, 3), (5, 9), (12, 13)], [deep.cell_at(2, (8, 4))])
+    query = region_from_rectangles([((0, 10), (6, 15))], dims)
+    for h in (deep, wide, deep, wide):
+        lost = lost_points(h, failures)
+        assert lost is lost_points(h, failures)
+        assert [mask.shape for mask in lost] == [h.level_array(k).shape
+                                                 for k in range(h.height + 1)]
+        assert failed_datapoints(h, failures) == reference_failed_datapoints(h, failures)
+        assert plan_with_failures(h, failures, query).value == naive_region_sum(vals, query)
+    assert lost_points(deep, failures) is not lost_points(wide, failures)
+    # One grid size, so both layouts read one dead mask.
+    assert lost_points(deep, failures)[0] is lost_points(wide, failures)[0]
 
 
 def refuse_location_sets(*args):
@@ -285,24 +385,20 @@ def test_recovery_reads_enclosure_sums_from_the_level_arrays(monkeypatch, nodes,
     # Each dead node's enclosure is an L1 cell whose junction is alive, so
     # recovery builds no Cell: neither for the enclosures nor for the alive
     # part of the query, whose reads are a cut size and whose value one
-    # masked sum.
+    # masked sum. The query's plan is the control: the counter sees its Cells.
     dims = GridDims(8, 8)
     vals = GridValues.random(dims, seed=1)
     h = build_hierarchy(vals, HierarchyConfig(dims, (2, 2, 2)))
     query = region_from_rectangles([((0, 0), corner)], dims)
     failures = FailureSet.of(nodes=nodes)
-    made = []
-    init = Cell.__init__
-
-    def counting(self, *args, **kwargs):
-        made.append(self)
-        init(self, *args, **kwargs)
-
     monkeypatch.setattr(CubeHierarchy, "value", refuse_value)
-    monkeypatch.setattr(Cell, "__init__", counting)
+    made = count_cells(monkeypatch)
     res = recover_region(h, failures, query)
+    by_recovery = list(made)
+    plan = plan_query(h, query)
     monkeypatch.undo()
-    assert made == []
+    assert by_recovery == []
+    assert made == [cell for cell, _ in plan.terms] and plan.size > 0
     assert res.kind is RecoveryKind.EXACT and res.value == naive_region_sum(vals, query)
     assert res.recovered_area == res.requested_area == set(nodes)
 

@@ -1,11 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from gridcubes.errors import ValidationError
 from gridcubes.grid import GridDims, GridValues
-from gridcubes.hierarchy import HierarchyConfig, build_hierarchy
+from gridcubes.hierarchy import HierarchyConfig, build_hierarchy, cell_of
 from gridcubes.prefix import build_ps_cube
 from gridcubes.protocol import (NodeState, Packet, junction_level, node_slot,
                                 node_step, run_construction)
@@ -238,3 +239,17 @@ def test_states_are_a_read_only_mapping_built_on_first_access():
         states[(0, 0)] = None
     alive = {p: s for p, s in states.items() if p != (1, 1)}
     assert len(alive) == 19 and alive[(3, 2)] is states[(3, 2)]
+
+
+@pytest.mark.parametrize("key", [(0.5, 1), (0, 1.0), ("a", "b"), ((0, 0), (1, 1)), "cell"])
+def test_only_a_pair_of_integers_is_a_node_key(key):
+    # A Cell is a pair too: (level, bounds).
+    dims = GridDims(4, 4)
+    config = HierarchyConfig(dims, (2, 2))
+    states, stats = run_construction(GridValues.random(dims, seed=1), config)
+    key = cell_of(config, 1, (0, 0)) if key == "cell" else key
+    assert key not in states and key not in stats.received
+    assert states.get(key) is None and stats.received.get(key) is None
+    with pytest.raises(KeyError):
+        states[key]
+    assert (0, 1) in states and states.get((np.int64(0), np.int64(1))) is states[(0, 1)]
