@@ -19,12 +19,22 @@ Schema (version 1):
 Values are row-major with y as the outer index, matching the top-left origin.
 Every number is a JSON integer (a `true` among the readings reads as 1).
 Failure SPECs are `node:x,y` or `cell:LEVEL:x,y` with (x, y) in the cell.
+
+The file is UTF-8 text. Its grid's readings are read on one path: numpy
+turns the `values` array straight from the text into one int64 array, and
+json parses the rest of the file. An array that is short, or that holds
+anything but JSON integers of at most 18 digits, falls through to json for
+the whole file, and `array.array` converts the readings it gives. So do a
+duplicate `values` key, a `values` key ahead of the grid's, and a `NaN` or
+`Infinity` anywhere in the file. Both paths give the same readings, and the
+fall-through gives the messages and exit codes json's path always gave.
 """
 
 from __future__ import annotations
 
 import array
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,12 +153,101 @@ def _unique(name: str, taken, kind: str) -> str:
     return name
 
 
+# A `values` array shorter than this many characters is left to json, whose
+# cost per reading is below numpy's fixed cost per call there. The two cost
+# the same at about 3,000 characters, some 770 two-digit readings (2-core
+# Xeon VM, Python 3.11, numpy 2.4). A 16x16 grid's array has about 1,000
+# characters and a 256x256 grid's about 260,000.
+_TEXT_PATH_MIN_CHARS = 4096
+_JSON_SPACE = " \t\n\r"
+# A `values` member up to its array's opening bracket.
+_VALUES_KEY = re.compile(r'"values"[ \t\n\r]*:[ \t\n\r]*\[')
+
+
+def _parse(text: str):
+    """`json.loads(text)`, with the grid's `values` array read by numpy.
+
+    The first `values` array in the text is cut out and json parses the rest,
+    with the constant `NaN` in the array's place. The cut-out array is used
+    only when that marker is the one constant json met and it sits at the
+    grid's effective `values` member, and when `_json_integers` reads the
+    array. Anything else, such as a duplicate key, `values` on another object
+    or a reading that is not a plain integer, takes `json.loads(text)`.
+    """
+    found = len(text) >= _TEXT_PATH_MIN_CHARS and _VALUES_KEY.search(text)
+    if found:
+        start = found.end()
+        stop = text.find("]", start)
+        if stop - start >= _TEXT_PATH_MIN_CHARS:
+            marker = object()
+            constants = []
+
+            def constant(name):
+                constants.append(name)
+                return marker
+
+            try:
+                raw = json.loads(text[:start - 1] + "NaN" + text[stop + 1:],
+                                 parse_constant=constant)
+            except (ValueError, RecursionError):
+                raw = None
+            grid = raw.get("grid") if isinstance(raw, dict) else None
+            if len(constants) == 1 and isinstance(grid, dict) and grid.get("values") is marker:
+                readings = _json_integers(text[start:stop])
+                if readings is not None:
+                    grid["values"] = readings
+                    return raw
+    return json.loads(text)
+
+
+def _json_integers(body: str) -> np.ndarray | None:
+    """The text between a JSON array's brackets as int64 readings, when it
+    holds one or more JSON integers of at most 18 digits, which int64 holds
+    exactly; None for any other text."""
+    body = body.strip(_JSON_SPACE)
+    if not body or not body.isascii():
+        return None
+    text = body.encode("ascii")
+    a = np.frombuffer(text, np.uint8)
+    digit = a - 48 < 10  # uint8 wraps: any byte but '0'-'9' lands at 10 or above
+    comma, minus = a == 44, a == 45
+    space = a == 32
+    for c in (10, 13, 9):
+        space |= a == c
+    token = digit | minus
+    if not (token | comma | space).all():
+        return None
+    # A minus opens its token, no 0 that opens a number has a digit after it,
+    # and no number has 19 digits: runs of 2, 4, 8, 16 and then 19 digits.
+    lead = (a[:-1] == 48) & digit[1:]
+    lead[1:] &= ~digit[:-2]
+    run = digit
+    for k in (1, 2, 4, 8, 3):
+        run = run[:-k] & run[k:]
+    if (minus[1:] & token[:-1]).any() or lead.any() or run.any():
+        return None
+    # One more run of digits than commas. As a minus only opens a token, the
+    # text between two commas, or before the first or after the last, holds
+    # two runs only where whitespace splits them, which needs whitespace after
+    # a token character. Without it, each such stretch holds exactly one run.
+    if np.count_nonzero(digit[1:] > digit[:-1]) + digit[0] != np.count_nonzero(comma) + 1:
+        return None
+    if (space[1:] & token[:-1]).any():
+        # No run of whitespace lies between two token characters.
+        edges = np.flatnonzero(space[1:] != space[:-1])
+        if ((a[edges[::2]] != 44) & (a[edges[1::2] + 1] != 44)).any():
+            return None
+    return np.fromstring(text, dtype=np.int64, sep=",")
+
+
 def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            raw = _parse(fh.read())
     except OSError as e:
         raise ScenarioError(f"cannot read scenario: {e}", kind="parse") from None
+    except UnicodeDecodeError as e:
+        raise ScenarioError(f"scenario is not UTF-8: {e}", kind="parse") from None
     except json.JSONDecodeError as e:
         raise ScenarioError(
             f"scenario parse error at line {e.lineno}, column {e.colno}: {e.msg}",
@@ -162,9 +261,11 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
                     _int(_require(grid, "height", "grid"), "grid height"))
     try:
         if "values" in grid:
-            # An int64 buffer refuses floats, strings, None, nested lists and
-            # readings beyond int64 by type; a `true` reads as 1.
-            readings = np.frombuffer(array.array("q", grid["values"]), dtype=np.int64)
+            readings = grid["values"]
+            if not isinstance(readings, np.ndarray):
+                # An int64 buffer refuses floats, strings, None, nested lists
+                # and readings beyond int64 by type; a `true` reads as 1.
+                readings = np.frombuffer(array.array("q", readings), dtype=np.int64)
             values = GridValues.from_flat(dims, readings)
         elif "random" in grid:
             spec = _object(grid["random"], "random")
@@ -193,7 +294,7 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     for entry in _list(raw.get("regions", []), "regions"):
         name = _unique(_require(entry, "name", "region", str), regions, "region")
         rects = _list(_require(entry, "rects", f"region {name!r}"), f"rects of {name!r}", list)
-        if not all(len(r) == 4 and all(isinstance(v, int) for v in r) for r in rects):
+        if not all(len(r) == 4 and all(type(v) is int for v in r) for r in rects):
             raise ScenarioError(f"each rect of {name!r} must be four integers x0,y0,x1,y1")
         regions[name] = region_from_rectangles(
             [((r[0], r[1]), (r[2], r[3])) for r in rects], dims)

@@ -6,21 +6,24 @@ cover minimality by branch-and-bound exact cover, cut properties by
 enumerating all partial-node assignments, prefix-sum plan costs by exact
 cover over every single-cell piece, prefix-sum answers by direct
 summation, the construction wave by applying the per-node protocol rule
-node by node, the lost summaries location by location, and region recovery
+node by node, the lost summaries location by location, region recovery
 by the portion loop that tracks recovered locations and earlier cells as
-explicit sets.
+explicit sets, and a scenario file by json for the whole file with
+`array.array` for its readings.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from gridcubes import recovery
+from gridcubes import recovery, scenario
 from gridcubes.flow import _array_plan, lost_points
 from gridcubes.grid import GridDims, GridValues, Rect, RectilinearRegion
 from gridcubes.hierarchy import Cell, CubeHierarchy, HierarchyConfig, cell_of
@@ -379,3 +382,10 @@ def reference_construction(values: GridValues, config: HierarchyConfig,
         sent[p] = 1
         received[p] = sum(q is not None for q in (pa, pb, pc))
     return states, sent, received
+
+
+def reference_load_scenario(path: str):
+    """`scenario.load_scenario` with json parsing the whole file, readings
+    included, which `array.array` then converts."""
+    with mock.patch.object(scenario, "_parse", json.loads):
+        return scenario.load_scenario(path)

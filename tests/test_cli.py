@@ -377,6 +377,7 @@ def _malformed(**changes):
     _malformed(schema=True),
     _malformed(grid={"width": 2, "height": 2, "values": [[1, 2], [3, 4]]}),
     _malformed(hierarchy={"fanouts": [2], "redundant": "no"}),
+    _malformed(regions=[{"name": "R", "rects": [[0, 0, True, True]]}]),
 ], ids=["failure-without-fail", "query-without-regions", "short-rect", "string-in-rect",
         "aliases-list", "string-fanout", "top-level-list", "string-width", "random-not-object",
         "string-values", "list-name", "list-query-member", "fail-not-list", "alias-not-string",
@@ -385,13 +386,21 @@ def _malformed(**changes):
         "mixed-values", "float-value", "numeric-string-value", "null-value", "value-above-int64",
         "value-above-uint64", "random-low-above-high", "random-high-above-int64",
         "negative-seed", "float-seed", "unsupported-schema", "no-values-or-random",
-        "bad-mode", "boolean-schema", "nested-values", "string-redundant"])
+        "bad-mode", "boolean-schema", "nested-values", "string-redundant", "boolean-rect"])
 def test_malformed_scenario_exits_4(tmp_path, capsys, scenario):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario))
     code, _, err = run(capsys, "plan", "--scenario", str(path), "--region", "R")
     assert code == 4
     assert err.startswith("error: ")
+
+
+def test_a_scenario_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(_malformed()).encode().replace(b'"R"', b'"R\xff"'))
+    code, out, err = run(capsys, "plan", "--scenario", str(path), "--region", "R")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: scenario is not UTF-8: ") and "0xff" in err
 
 
 def test_boolean_readings_load_as_integers(tmp_path):

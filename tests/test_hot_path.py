@@ -20,13 +20,16 @@ also when some query alone has no finite cut: the error's blocking cells
 come from the level arrays, and the prefix-sum planner walks the arrays
 too. The construction wave works on slot arrays and builds no node state
 until one is read. The `--json` report is encoded by json's C encoder, not
-by the pure-Python one that an indent selects."""
+by the pure-Python one that an indent selects. A large grid of plain
+integer readings is read from the scenario text by numpy: json decodes
+only the rest of the file, and no `array.array` converts the readings."""
 
 import json
 
+import numpy as np
 import pytest
 
-from gridcubes import protocol, recovery
+from gridcubes import protocol, recovery, scenario
 from gridcubes.cli import main
 from gridcubes.errors import InfeasibleError
 from gridcubes.division import greedy_divide
@@ -448,3 +451,29 @@ def test_the_json_report_is_written_by_the_c_encoder(monkeypatch, capsys, tmp_pa
     assert main(["plan", "--scenario", THREE_LEVEL, "--region", "G",
                  "--json", str(report_path)]) == 0
     assert json.loads(report_path.read_text())["plan"]["retrieval_size"] == 4
+
+
+def refuse_array(*args, **kwargs):
+    raise AssertionError("array.array converted the readings")
+
+
+def test_a_large_grid_of_plain_integers_is_read_without_json(monkeypatch, tmp_path):
+    values = np.random.default_rng(1).integers(0, 100, size=(256, 256))
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"schema": 1, "grid": {"width": 256, "height": 256,
+                                                      "values": values.ravel().tolist()},
+                                "hierarchy": {"fanouts": [4, 4, 4, 4]},
+                                "regions": [{"name": "R", "rects": [[3, 5, 200, 90]]}]}))
+    decoded = []
+    decode = json.JSONDecoder.decode
+
+    def counting_decode(self, s, *args, **kwargs):
+        decoded.append(len(s))
+        return decode(self, s, *args, **kwargs)
+
+    monkeypatch.setattr(json.JSONDecoder, "decode", counting_decode)
+    monkeypatch.setattr(scenario.array, "array", refuse_array)
+    loaded = scenario.load_scenario(str(path))
+    assert sum(decoded) < 0.01 * len(path.read_text())
+    assert loaded.values.array.dtype == np.int64
+    assert np.array_equal(loaded.values.array, values)
