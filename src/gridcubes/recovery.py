@@ -13,17 +13,19 @@ lost masks that `flow.lost_points` samples from it. The query's alive part
 is no plan: its reads are the size of `flow._cut`'s cut and its value one
 masked sum of its readings, so no Cell is built for it. Each 4-connected dead
 component meeting the query is visited once and grown level by level until
-readable cells enclose it; every sum is a masked sum, and one `enclosed`
-mask, with the enclosure cells' sums beside it, takes out what earlier
-components' enclosures already counted. If the enclosure is larger than
-requested, the answer falls back to a uniformity estimate that scales the
-recovered sum by the requested/recovered area ratio, taken over the smallest
-recoverable enclosure. Queries untouched by failures plan exactly as usual.
+readable cells enclose it. Which cells are readable, and at how many reads,
+depends only on which junctions are dead, so it is decided on the lost
+masks alone. Every sum is a masked sum, and one `enclosed` mask, with the
+enclosure cells' sums beside it, takes out what earlier components'
+enclosures already counted. If the enclosure is larger than requested, the
+answer falls back to a uniformity estimate that scales the recovered sum by
+the requested/recovered area ratio, taken over the smallest recoverable
+enclosure. Queries untouched by failures plan exactly as usual.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -36,7 +38,7 @@ from .errors import BoundsError, RecoveryError, ValidationError
 from .flow import (FailureSet, _array_plan, _cut, _NoFiniteCut, failed_datapoints,  # noqa: F401
                    lost_points)
 from .grid import Coord, RectilinearRegion
-from .hierarchy import Cell, CubeHierarchy, HierarchyConfig, cell_of
+from .hierarchy import CubeHierarchy, HierarchyConfig, cell_of
 from .protocol import NodeState, node_slot
 
 
@@ -171,41 +173,28 @@ def _linear_block_solve(b_of, child_of, cols, rows, target):
     return (None if any(row[:-1]) else row[-1]), sorted(used)
 
 
-def _parent_block(config: HierarchyConfig, cell: Cell, slots, escalate):
-    """V(cell) from the block-prefix identities of its parent cell.
+def _parent_block(prefix, child, cols, rows, target, escalate):
+    """V(target) from the block-prefix identities of its parent cell.
 
-    slots(parent) returns slot(p, k), node p's stored level-k value or None
-    when p is dead. If the parent's junction is dead too, escalate(parent)
-    may rebuild the parent total (a Reconstruction, or None) as the last
-    prefix. Returns (value or None, junctions read, escalation), the last
-    an empty Reconstruction when there was none.
+    prefix(i, j) and child(i, j) return the stored next-level prefix and the
+    child sum at child (i, j) of the parent's block, or None when that
+    junction is dead. If the block leaves the target unsolved and the
+    parent's junction, the block's corner, is dead too, escalate() may
+    rebuild the parent total (a Reconstruction, or None) as the corner's
+    prefix; the corner is then not read. Returns (value or None, block
+    positions read, escalation), the last an empty Reconstruction when there
+    was none.
     """
-    level = cell.level
-    parent = cell_of(config, level + 1, cell.junction)
-    side, cols, rows = config.child_grid(parent)
-    i0, j0 = parent.bounds.x0 // side, parent.bounds.y0 // side
-    junctions = [c.junction for c in config.block_cells(level, range(i0, i0 + cols),
-                                                         range(j0, j0 + rows))]
-    slot = slots(parent)
+    value, used = _linear_block_solve(prefix, child, cols, rows, target)
     corner = (cols - 1, rows - 1)
-    target = (cell.bounds.x0 // side - i0, cell.bounds.y0 // side - j0)
-    upper = None
-
-    def b_of(i, j):
-        if (i, j) == corner and upper is not None:
-            return upper.value
-        return slot(junctions[j * cols + i], level + 1)
-
-    def child_of(i, j):
-        return slot(junctions[j * cols + i], level)
-
-    value, used = _linear_block_solve(b_of, child_of, cols, rows, target)
-    if value is None and b_of(*corner) is None:
-        upper = escalate(parent)
+    if value is None and prefix(*corner) is None:
+        upper = escalate()
         if upper is not None:
-            value, used = _linear_block_solve(b_of, child_of, cols, rows, target)
-            used = [pos for pos in used if pos != corner]  # upper's reads, not the corner's
-    return value, [junctions[j * cols + i] for i, j in used], upper or Reconstruction(None, (), 0)
+            value, used = _linear_block_solve(
+                lambda i, j: upper.value if (i, j) == corner else prefix(i, j),
+                child, cols, rows, target)
+            return value, [pos for pos in used if pos != corner], upper
+    return value, used, Reconstruction(None, (), 0)
 
 
 def recover_junction(states: Mapping[Coord, NodeState], failed: Coord, level: int,
@@ -282,47 +271,53 @@ def recover_junction(states: Mapping[Coord, NodeState], failed: Coord, level: in
                 return Reconstruction(value, tuple(donors), reads, distance)
 
     value, used, upper = _parent_block(
-        config, cell, lambda parent: partial(node_slot, states),
-        lambda parent: recover_junction(states, parent.junction, level + 1, config, redundant))
+        lambda i, j: node_slot(states, junction(i, j), level + 1),
+        lambda i, j: node_slot(states, junction(i, j), level), cols, rows, (p, q),
+        lambda: recover_junction(states, parent.junction, level + 1, config, redundant))
     if value is None:
         raise RecoveryError(f"block identities underdetermined for {failed} at level {level}")
     if value.denominator == 1:
         value = int(value)
+    used = [junction(i, j) for i, j in used]
     donors = tuple(dict.fromkeys(used + list(upper.donors)))
     reads = 2 * len(used) + upper.reads
     distance = sum(_chebyshev(failed, d) for d in donors)
     return Reconstruction(value, donors, reads, distance)
 
 
-def _cell_readable(h: CubeHierarchy, cell: Cell, dead: np.ndarray,
-                   memo: dict[Cell, int | None]) -> int | None:
-    """Reads needed to obtain V(cell), a cell above level 0, under the dead
-    mask, or None. A cell whose junction died is solved from its parent
-    cell's block-prefix identities, as in recover_junction's last resort.
-    `memo` holds the results under this mask so far; dead junctions that
-    escalate to one parent share its solve.
+def _cell_readable(lost: Sequence[np.ndarray], fanouts: Sequence[int], level: int,
+                   i: int, j: int, memo: dict[tuple[int, int, int], int | None]) -> int | None:
+    """Reads needed to obtain V of the level-`level` cell (above 0) in block
+    column i and row j under the lost masks (`lost_points`), or None. A dead
+    junction's cell is solved as in recover_junction's last resort, from its
+    parent's block: the slice of lost[level] its children fill, whose corner
+    is the parent's junction. Solvability and reads depend only on which
+    junctions are dead, so every alive slot reads as 0. `memo` holds the
+    results so far by (level, i, j); dead junctions that escalate to one
+    parent share its solve.
     """
-    if cell in memo:
-        return memo[cell]
-    if not dead[cell.bounds.y1, cell.bounds.x1]:
+    key = (level, i, j)
+    if key in memo:
+        return memo[key]
+    if not lost[level][j, i]:
         return 1
-    if cell.level >= h.height:
+    if level >= len(fanouts):
         return None
+    f = fanouts[level]
+    i0, j0 = i - i % f, j - j % f
+    dead = lost[level][j0:j0 + f, i0:i0 + f].tolist()  # clipped at the grid edge
 
-    def slots(parent):
-        side = h.config.side(cell.level)
-        stored = {cell.level: h.level_array(cell.level),
-                  parent.level: h.prefix_array(parent.level)}
-        return lambda p, k: (None if dead[p[1], p[0]]
-                             else stored[k][p[1] // side, p[0] // side].item())
+    def slot(bi, bj):
+        return None if dead[bj][bi] else 0
 
-    def escalate(parent):
-        reads = _cell_readable(h, parent, dead, memo)
-        return None if reads is None else Reconstruction(h.value(parent), (), reads)
+    def escalate():
+        reads = _cell_readable(lost, fanouts, level + 1, i // f, j // f, memo)
+        return None if reads is None else Reconstruction(0, (), reads)
 
-    value, used, upper = _parent_block(h.config, cell, slots, escalate)
-    memo[cell] = None if value is None else 2 * len(used) + upper.reads
-    return memo[cell]
+    value, used, upper = _parent_block(slot, slot, len(dead[0]), len(dead), (i - i0, j - j0),
+                                       escalate)
+    memo[key] = None if value is None else 2 * len(used) + upper.reads
+    return memo[key]
 
 
 def _components(dead: np.ndarray) -> np.ndarray:
@@ -392,7 +387,7 @@ def recover_region(h: CubeHierarchy, failures: FailureSet,
     members = np.argsort(labels, kind="stable")  # each component's locations, row-major
     enclosed = np.zeros(dead.shape, dtype=bool)  # every enclosure cell's locations so far
     earlier = np.zeros(dead.shape, dtype=h.values.array.dtype)  # their sums, at top-left
-    readable: dict[Cell, int | None] = {}
+    readable: dict[tuple[int, int, int], int | None] = {}
     for y, x, label in zip(ys.tolist(), xs.tolist(), labels.tolist()):
         if enclosed[y, x]:
             continue
@@ -406,8 +401,8 @@ def recover_region(h: CubeHierarchy, failures: FailureSet,
             lo = blocks.min()  # counts over the portion's span of block rows only
             rows, cols = np.divmod(np.flatnonzero(np.bincount(blocks - lo)) + lo, width)
             solve = lost[level][rows, cols]  # a cell with an alive junction reads 1
-            cells = h.config.indexed_cells(level, cols[solve].tolist(), rows[solve].tolist())
-            cell_reads = [_cell_readable(h, c, dead, readable) for c in cells]
+            cell_reads = [_cell_readable(lost, h.config.fanouts, level, i, j, readable)
+                          for i, j in zip(cols[solve].tolist(), rows[solve].tolist())]
             if None not in cell_reads:
                 break
         else:

@@ -146,11 +146,10 @@ def reference_recover_region(h: CubeHierarchy, failures, query: RectilinearRegio
     a `pending` array of the dead query locations, rescanned for the next
     portion's seed and its component, a `recovered` mask, and the set of
     earlier enclosure cells, each one looked up to take its dead sum out."""
-    dead = failures.dead(h.dims)
+    dead, lost = failures.dead(h.dims), lost_points(h, failures)
     in_query = np.zeros(dead.shape, dtype=bool)
     in_query[query.y0:, query.x0:][:query.mask.shape[0], :query.mask.shape[1]] = query.mask
-    plan = _array_plan(h, (RectilinearRegion.from_mask(0, 0, in_query & ~dead),),
-                       lost_points(h, failures))[0][0]
+    plan = _array_plan(h, (RectilinearRegion.from_mask(0, 0, in_query & ~dead),), lost)[0][0]
     total, reads = plan.value, plan.size
     q_dead = in_query & dead
     requested = mask_locations(q_dead)
@@ -169,7 +168,8 @@ def reference_recover_region(h: CubeHierarchy, failures, query: RectilinearRegio
             rows, cols = np.divmod(np.flatnonzero(np.bincount(rows // f * width + cols // f)),
                                    width)
             cells = h.config.indexed_cells(level, cols.tolist(), rows.tolist())
-            cell_reads = [recovery._cell_readable(h, c, dead, readable) for c in cells]
+            cell_reads = [recovery._cell_readable(lost, h.config.fanouts, level, i, j, readable)
+                          for i, j in zip(cols.tolist(), rows.tolist())]
             if None not in cell_reads:
                 break
         else:

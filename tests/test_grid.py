@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,20 @@ def test_float_mode():
     vals = GridValues.from_rows([[0.5, 1.5], [2.0, 0.25]], dtype=float)
     assert vals.array.dtype == np.float64
     assert vals.rect_sum(Rect(0, 0, 1, 0)) == pytest.approx(2.0)
+
+
+def test_values_from_a_flat_array_are_copied_once():
+    # The constructor's copy is the only one: the peak stays near one array.
+    flat = np.arange(512 * 512, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        values = GridValues.from_flat(GridDims(512, 512), flat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * flat.nbytes
+    assert not np.shares_memory(values.array, flat)
+    assert values.array.ravel().tolist() == flat.tolist()
 
 
 def test_values_are_read_only():

@@ -10,6 +10,8 @@ also from `plan --fail node:`. Recovery reads the dead mask, never the
 dead area location by location, and takes the enclosure cells' sums from
 the level arrays, building no Cell for a cell whose junction is alive nor
 for the query's alive part, which it reads as a cut size and one masked sum.
+It decides a dead junction's readability on the lost masks alone, with no
+Cell made and no summary or prefix array read.
 A query that recovery answers because it has no finite cut builds no
 blocking Cell of the planner's explanation, and queries sharing one
 FailureSet build its dead and lost masks once.
@@ -404,6 +406,30 @@ def test_recovery_reads_enclosure_sums_from_the_level_arrays(monkeypatch, nodes,
     assert made == [cell for cell, _ in plan.terms] and plan.size > 0
     assert res.kind is RecoveryKind.EXACT and res.value == naive_region_sum(vals, query)
     assert res.recovered_area == res.requested_area == set(nodes)
+
+
+def refuse_prefixes(self, level):
+    raise AssertionError("a prefix array was read")
+
+
+def test_recovery_decides_readability_on_the_lost_masks(monkeypatch):
+    # The dead level-2 cell kills the junctions of its four level-1 cells,
+    # which are solved from their parent's block and escalate to it: whether
+    # each is readable, and at how many reads, is decided on the lost masks,
+    # with no Cell made and no summary or prefix array read.
+    dims = GridDims(8, 8)
+    vals = GridValues.random(dims, seed=3)
+    h = build_hierarchy(vals, HierarchyConfig(dims, (2, 2, 2)))
+    failures = FailureSet.of(cells=[h.cell_at(2, (0, 0))])
+    query = region_from_rectangles([((0, 0), (5, 5))], dims)
+    monkeypatch.setattr(CubeHierarchy, "value", refuse_value)
+    monkeypatch.setattr(CubeHierarchy, "prefix_array", refuse_prefixes)
+    made = count_cells(monkeypatch)
+    res = recover_region(h, failures, query)
+    monkeypatch.undo()
+    assert made == []
+    assert res.kind is RecoveryKind.EXACT and res.value == naive_region_sum(vals, query)
+    assert res.points_read == 11
 
 
 def test_corner_expansion_at_1024_never_builds_cell_sets(monkeypatch):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -218,6 +219,69 @@ def test_linear_block_solve_against_dominance_rank(rng):
     assert determined > 300
 
 
+def _reads_by_rank(lost, fanouts, level, i, j):
+    """`_cell_readable` by the dominance-rank rule, cell by cell and with no
+    memo, and whether the cell's block escalated: a dead junction's cell is
+    read from its parent's block when the alive prefixes determine it, at 2
+    reads per alive junction; otherwise, when the parent's junction is dead
+    and the parent readable, its total joins the prefixes as the block
+    corner's, at the parent's reads."""
+    if not lost[level][j, i]:
+        return 1, False
+    if level == len(fanouts):
+        return None, False
+    f = fanouts[level]
+    rows, cols = lost[level].shape
+    block = [(a, b) for b in range(j - j % f, min(j - j % f + f, rows))
+             for a in range(i - i % f, min(i - i % f + f, cols))]
+    dead = [p for p in block if lost[level][p[1], p[0]]]
+    alive = [p for p in block if p not in dead]
+    unit = [int(p == (i, j)) for p in dead]
+
+    def determined(known):
+        dominance = [[int(a <= x and b <= y) for a, b in dead] for x, y in known]
+        return _rank(dominance + [unit]) == _rank(dominance)
+
+    if determined(alive):
+        return 2 * len(alive), False
+    if not lost[level + 1][j // f, i // f]:
+        return None, False
+    upper = _reads_by_rank(lost, fanouts, level + 1, i // f, j // f)[0]
+    if upper is None or not determined(alive + [block[-1]]):
+        return None, True
+    return 2 * len(alive) + upper, True
+
+
+def test_cell_readable_against_dominance_rank(rng):
+    # Grids the fanouts mostly do not divide, so edge blocks are clipped, and
+    # dead junctions only, so parent junctions die and blocks escalate often.
+    seen = Counter()
+    for _ in range(500):
+        fanouts = tuple(rng.randint(2, 3) for _ in range(rng.randint(2, 3)))
+        dims = GridDims(rng.randint(3, 14), rng.randint(3, 14))
+        config = HierarchyConfig(dims, fanouts)
+        junctions = [(x, y) for y, x in np.argwhere(config.junction_levels()).tolist()]
+        nodes = set(rng.sample(junctions, rng.randint(1, -(-len(junctions) // 3))))
+        lost = FailureSet.of(nodes=nodes).lost(config)
+        memo = {}
+        cells = [(level, i, j) for level in range(1, len(fanouts) + 1)
+                 for j in range(lost[level].shape[0]) for i in range(lost[level].shape[1])]
+        rng.shuffle(cells)  # the memo holds earlier answers at every level
+        for level, i, j in cells:
+            reads = recovery._cell_readable(lost, fanouts, level, i, j, memo)
+            expected, escalated = _reads_by_rank(lost, fanouts, level, i, j)
+            assert reads == expected
+            if lost[level][j, i] and level < len(fanouts):
+                f = fanouts[level]
+                seen["clipped"] += (i - i % f + f > lost[level].shape[1]
+                                    or j - j % f + f > lost[level].shape[0])
+                kind = "readable" if reads is not None else "unreadable"
+                seen[kind] += 1
+                seen["escalated " + kind] += escalated
+    assert min(seen[k] for k in ("clipped", "readable", "unreadable", "escalated readable",
+                                 "escalated unreadable")) > 50, seen
+
+
 def test_failed_datapoints_include_enclosing_junctions():
     vals = GridValues.random(GridDims(8, 8), seed=63)
     h = build_hierarchy(vals, HierarchyConfig(GridDims(8, 8), (2, 2, 2)))
@@ -278,13 +342,21 @@ def test_recover_region_solves_each_block_once(monkeypatch):
     h = build_hierarchy(vals, HierarchyConfig(dims, (2, 2, 2)))
     failures = FailureSet.of(cells=[h.cell_at(2, (0, 0))])
     query = region_from_rectangles([((0, 0), (5, 5))], dims)
-    solved = []
-    parent_block = recovery._parent_block
+    solved, asking = [], []  # the cells solved; the cells whose readability is being decided
+    cell_readable, parent_block = recovery._cell_readable, recovery._parent_block
 
-    def counting(config, cell, slots, escalate):
-        solved.append(cell)
-        return parent_block(config, cell, slots, escalate)
+    def deciding(lost, fanouts, level, i, j, memo):
+        asking.append(h.config.indexed_cells(level, [i], [j])[0])
+        try:
+            return cell_readable(lost, fanouts, level, i, j, memo)
+        finally:
+            asking.pop()
 
+    def counting(*args):
+        solved.append(asking[-1])
+        return parent_block(*args)
+
+    monkeypatch.setattr(recovery, "_cell_readable", deciding)
     monkeypatch.setattr(recovery, "_parent_block", counting)
     res = recover_region(h, failures, query)
     assert res.kind is RecoveryKind.EXACT and res.value == naive_region_sum(vals, query)
